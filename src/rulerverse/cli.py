@@ -502,7 +502,9 @@ def cmd_agree(ctx: RunContext) -> int:
     agreement_reports: dict[str, metrics.AgreementReport] = {}
     for channel, raters in human.items():
         label_set = list(range(1, 4)) if channel == VERSE_CHANNEL else list(range(1, 6))
-        agreement = metrics.compute_agreement(raters, level=level)
+        # align each rater pair once; every statistic below reuses the alignment
+        pairs = list(metrics.rater_pairs(raters))
+        agreement = metrics.compute_agreement(raters, level=level, pairs=pairs)
         agreement_reports[channel] = agreement
         payload: dict[str, Any] = {
             "fingerprint": ctx.fingerprint,
@@ -510,33 +512,28 @@ def cmd_agree(ctx: RunContext) -> int:
             "level": level,
             "inter_annotator": agreement.to_dict(),
         }
-        classification = metrics.pairwise_classification(raters, label_set)
+        classification = metrics.classify_pairs(pairs, label_set)
         payload["classification"] = {
             "mean_accuracy": classification.mean_accuracy,
             "mean_per_label_f1": {str(k): v for k, v in classification.mean_per_label_f1.items()},
         }
-        for rater_a, rater_b, rep in classification.per_pair:
+        confusions = classification.per_pair
+        if channel in model:
+            cross = list(metrics.rater_pairs(raters, model[channel]))
+            versus = metrics.classify_pairs(cross, label_set)
+            payload["human_vs_model"] = {
+                "tau": metrics.mean_over_pairs(cross, metrics.kendall_tau_b).mean,
+                "rho": metrics.mean_over_pairs(cross, metrics.spearman_rho).mean,
+                "mse": metrics.mean_over_pairs(cross, metrics.mse).mean,
+                "mean_accuracy": versus.mean_accuracy,
+                "mean_per_label_f1": {str(k): v for k, v in versus.mean_per_label_f1.items()},
+            }
+            confusions = confusions + versus.per_pair
+        for rater_a, rater_b, rep in confusions:
             name = f"confusion_{channel}_{_sanitize(rater_a)}_vs_{_sanitize(rater_b)}.csv"
             write_csv_with_fingerprint(
                 ctx.out_dir / name, ctx.fingerprint, report.confusion_to_csv(rep)
             )
-        if channel in model:
-            versus = metrics.cross_pairwise_classification(raters, model[channel], label_set)
-            cross_tau = metrics.cross_pairwise_agreement(raters, model[channel], metrics.kendall_tau_b)
-            cross_rho = metrics.cross_pairwise_agreement(raters, model[channel], metrics.spearman_rho)
-            cross_mse = metrics.cross_pairwise_agreement(raters, model[channel], metrics.mse)
-            payload["human_vs_model"] = {
-                "tau": cross_tau.mean,
-                "rho": cross_rho.mean,
-                "mse": cross_mse.mean,
-                "mean_accuracy": versus.mean_accuracy,
-                "mean_per_label_f1": {str(k): v for k, v in versus.mean_per_label_f1.items()},
-            }
-            for rater_a, rater_b, rep in versus.per_pair:
-                name = f"confusion_{channel}_{_sanitize(rater_a)}_vs_{_sanitize(rater_b)}.csv"
-                write_csv_with_fingerprint(
-                    ctx.out_dir / name, ctx.fingerprint, report.confusion_to_csv(rep)
-                )
         write_json(ctx.out_dir / f"agreement_{channel}.json", payload)
 
     write_csv_with_fingerprint(

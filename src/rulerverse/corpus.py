@@ -22,6 +22,7 @@ from .errors import (
     DanglingAnnotation,
     DuplicateItem,
     EmptyText,
+    MissingReference,
     NonContiguousIndex,
     OutOfRange,
     SamplingError,
@@ -44,6 +45,15 @@ class ParagraphPair:
     source_text: str
     references: tuple[str, ...]
     has_dialogue: bool | None = None
+
+    def reference(self, index: int) -> str:
+        """The reference translation at `index`; MissingReference past the last one."""
+        if index >= len(self.references):
+            raise MissingReference(
+                f"({self.story_id!r}, {self.index}) has {len(self.references)} "
+                f"references, index {index} requested"
+            )
+        return self.references[index]
 
 
 @dataclass

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from itertools import combinations, product
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     EmptyInput,
@@ -72,12 +73,37 @@ def _paired(x, y, min_len: int) -> tuple[list[Number], list[Number]]:
 
 # -- rank correlation --
 
-def _tie_pairs(values: Sequence[Number]) -> int:
+def _tie_pairs(values: Iterable) -> int:
     """Number of unordered index pairs sharing a value: sum of t*(t-1)/2 per group."""
     counts: dict[Number, int] = {}
     for v in values:
         counts[v] = counts.get(v, 0) + 1
     return sum(t * (t - 1) // 2 for t in counts.values())
+
+
+def _discordant_pairs(xs: Sequence[Number], ys: Sequence[Number]) -> int:
+    """Index pairs ordered one way by x and the other way by y (Knight 1966).
+
+    After sorting by (x, y), tied x values sit in y order, so a pair is
+    discordant exactly when the later item has the smaller y.  A Fenwick tree
+    over y ranks counts, for each item, the earlier items with a larger y.
+    """
+    rank = {v: r for r, v in enumerate(sorted(set(ys)), start=1)}
+    size = len(rank)
+    tree = [0] * (size + 1)
+    discordant = 0
+    for seen, (_, y) in enumerate(sorted(zip(xs, ys))):
+        r = i = rank[y]
+        not_above = 0  # earlier items with a y rank <= r
+        while i:
+            not_above += tree[i]
+            i -= i & -i
+        discordant += seen - not_above
+        i = r
+        while i <= size:
+            tree[i] += 1
+            i += i & -i
+    return discordant
 
 
 def kendall_tau_b(x, y) -> float | None:
@@ -86,27 +112,20 @@ def kendall_tau_b(x, y) -> float | None:
     tau_b = (C - D) / sqrt((n0 - n1) * (n0 - n2))
 
     where C and D count concordant and discordant index pairs, n0 = n(n-1)/2,
-    and n1, n2 count pairs tied within x and within y.  Returns None when
-    either vector is constant enough to zero a denominator factor.
+    and n1, n2 count pairs tied within x and within y.  D comes from an
+    O(n log n) count and C from C + D = n0 - n1 - n2 + n3, with n3 the pairs
+    tied in both; every count is an exact integer.  Returns None when either
+    vector is constant enough to zero a denominator factor.
     """
     xs, ys = _paired(x, y, min_len=2)
     n = len(xs)
-    concordant = discordant = 0
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            dx = xs[i] - xs[j]
-            dy = ys[i] - ys[j]
-            if dx == 0 or dy == 0:
-                continue
-            if (dx > 0) == (dy > 0):
-                concordant += 1
-            else:
-                discordant += 1
     n0 = n * (n - 1) // 2
     denom_x = n0 - _tie_pairs(xs)
     denom_y = n0 - _tie_pairs(ys)
     if denom_x == 0 or denom_y == 0:
         return None
+    discordant = _discordant_pairs(xs, ys)
+    concordant = denom_x + denom_y - n0 + _tie_pairs(zip(xs, ys)) - discordant
     return (concordant - discordant) / math.sqrt(denom_x * denom_y)
 
 
@@ -264,16 +283,6 @@ class ClassificationReport:
     confusion: dict  # confusion[gold][pred] -> count
     n_items: int
 
-    def row_normalized(self) -> dict:
-        out: dict = {}
-        for gold in self.label_order:
-            row = self.confusion[gold]
-            total = sum(row.values())
-            out[gold] = {
-                pred: (row[pred] / total if total else 0.0) for pred in self.label_order
-            }
-        return out
-
 
 def per_label_prf(gold: Sequence, pred: Sequence, label_set: Sequence) -> ClassificationReport:
     """Per-label precision/recall/F1 with support, accuracy, and confusion counts.
@@ -328,6 +337,33 @@ def per_label_prf(gold: Sequence, pred: Sequence, label_set: Sequence) -> Classi
 
 # -- multi-rater aggregation --
 
+AlignedPair = tuple[str, str, list[Number], list[Number]]
+PairedMetric = Callable[[Sequence[Number], Sequence[Number]], float | None]
+
+
+def rater_pairs(
+    group_a: Sequence[RatingVector], group_b: Sequence[RatingVector] | None = None
+) -> Iterator[AlignedPair]:
+    """(rater_a, rater_b, xs, ys) for each rater pair, aligned on common items.
+
+    Without `group_b`: every unordered pair within `group_a`, in index order.
+    With it: every (a, b) pair across the two groups, `group_a` outermost.
+    """
+    if group_b is None:
+        if len(group_a) < 2:
+            raise TooFewItems("need at least 2 raters")
+        pairs = combinations(group_a, 2)
+    else:
+        if not group_a or not group_b:
+            raise TooFewItems("both rater groups must be nonempty")
+        pairs = product(group_a, group_b)
+    for a, b in pairs:
+        xs, ys = a.common_items(b)
+        if not xs:
+            raise NoCommonItems(f"raters {a.rater_id!r} and {b.rater_id!r} share no items")
+        yield a.rater_id, b.rater_id, xs, ys
+
+
 @dataclass(frozen=True)
 class PairResult:
     rater_a: str
@@ -343,46 +379,24 @@ class PairwiseResult:
     n_skipped: int  # pairs whose metric was undefined
 
 
-def pairwise_agreement(
-    raters: Sequence[RatingVector],
-    metric: Callable[[Sequence[Number], Sequence[Number]], float | None],
-) -> PairwiseResult:
-    """Mean of a paired metric over all unordered rater pairs on common items."""
-    if len(raters) < 2:
-        raise TooFewItems("need at least 2 raters")
-    pairs: list[PairResult] = []
-    for i in range(len(raters) - 1):
-        for j in range(i + 1, len(raters)):
-            a, b = raters[i], raters[j]
-            xs, ys = a.common_items(b)
-            if not xs:
-                raise NoCommonItems(f"raters {a.rater_id!r} and {b.rater_id!r} share no items")
-            pairs.append(
-                PairResult(a.rater_id, b.rater_id, len(xs), metric(xs, ys))
-            )
-    defined = [p.value for p in pairs if p.value is not None]
+def mean_over_pairs(pairs: Iterable[AlignedPair], metric: PairedMetric) -> PairwiseResult:
+    """Mean of a paired metric over aligned rater pairs, skipping undefined values."""
+    results = [PairResult(a, b, len(xs), metric(xs, ys)) for a, b, xs, ys in pairs]
+    defined = [p.value for p in results if p.value is not None]
     mean = sum(defined) / len(defined) if defined else None
-    return PairwiseResult(pairs=pairs, mean=mean, n_skipped=len(pairs) - len(defined))
+    return PairwiseResult(pairs=results, mean=mean, n_skipped=len(results) - len(defined))
+
+
+def pairwise_agreement(raters: Sequence[RatingVector], metric: PairedMetric) -> PairwiseResult:
+    """Mean of a paired metric over all unordered rater pairs on common items."""
+    return mean_over_pairs(rater_pairs(raters), metric)
 
 
 def cross_pairwise_agreement(
-    group_a: Sequence[RatingVector],
-    group_b: Sequence[RatingVector],
-    metric: Callable[[Sequence[Number], Sequence[Number]], float | None],
+    group_a: Sequence[RatingVector], group_b: Sequence[RatingVector], metric: PairedMetric
 ) -> PairwiseResult:
     """Mean of a paired metric over every (a, b) pair across two rater groups."""
-    if not group_a or not group_b:
-        raise TooFewItems("both rater groups must be nonempty")
-    pairs: list[PairResult] = []
-    for a in group_a:
-        for b in group_b:
-            xs, ys = a.common_items(b)
-            if not xs:
-                raise NoCommonItems(f"raters {a.rater_id!r} and {b.rater_id!r} share no items")
-            pairs.append(PairResult(a.rater_id, b.rater_id, len(xs), metric(xs, ys)))
-    defined = [p.value for p in pairs if p.value is not None]
-    mean = sum(defined) / len(defined) if defined else None
-    return PairwiseResult(pairs=pairs, mean=mean, n_skipped=len(pairs) - len(defined))
+    return mean_over_pairs(rater_pairs(group_a, group_b), metric)
 
 
 @dataclass
@@ -419,11 +433,20 @@ def rating_matrix(raters: Sequence[RatingVector]) -> list[list[Number | None]]:
     return matrix
 
 
-def compute_agreement(raters: Sequence[RatingVector], level: str = "ordinal") -> AgreementReport:
-    """Full agreement report for one score channel between two or more raters."""
-    tau_result = pairwise_agreement(raters, kendall_tau_b)
-    rho_result = pairwise_agreement(raters, spearman_rho)
-    mse_result = pairwise_agreement(raters, mse)
+def compute_agreement(
+    raters: Sequence[RatingVector],
+    level: str = "ordinal",
+    pairs: Sequence[AlignedPair] | None = None,
+) -> AgreementReport:
+    """Full agreement report for one score channel between two or more raters.
+
+    `pairs` is `list(rater_pairs(raters))` when the caller already has it.
+    """
+    if pairs is None:
+        pairs = list(rater_pairs(raters))
+    tau_result = mean_over_pairs(pairs, kendall_tau_b)
+    rho_result = mean_over_pairs(pairs, spearman_rho)
+    mse_result = mean_over_pairs(pairs, mse)
     alpha = krippendorff_alpha(rating_matrix(raters), level=level)
     n_items = len({i for r in raters for i in r.ids})
     return AgreementReport(
@@ -448,12 +471,12 @@ class PairwiseClassification:
     mean_accuracy: float
 
 
-def _summarize_pairs(
-    per_pair: list[tuple[str, str, ClassificationReport]], labels: tuple
-) -> PairwiseClassification:
+def classify_pairs(pairs: Iterable[AlignedPair], label_set: Sequence) -> PairwiseClassification:
+    """Per-label F1 and accuracy averaged over aligned pairs; rater_a plays gold."""
+    per_pair = [(a, b, per_label_prf(xs, ys, label_set)) for a, b, xs, ys in pairs]
     mean_f1 = {
         label: sum(rep.per_label[label].f1 for _, _, rep in per_pair) / len(per_pair)
-        for label in labels
+        for label in label_set
     }
     mean_acc = sum(rep.accuracy for _, _, rep in per_pair) / len(per_pair)
     return PairwiseClassification(
@@ -465,30 +488,4 @@ def pairwise_classification(
     raters: Sequence[RatingVector], label_set: Sequence
 ) -> PairwiseClassification:
     """Per-label F1 and accuracy averaged over all unordered rater pairs."""
-    if len(raters) < 2:
-        raise TooFewItems("need at least 2 raters")
-    per_pair: list[tuple[str, str, ClassificationReport]] = []
-    for i in range(len(raters) - 1):
-        for j in range(i + 1, len(raters)):
-            a, b = raters[i], raters[j]
-            xs, ys = a.common_items(b)
-            if not xs:
-                raise NoCommonItems(f"raters {a.rater_id!r} and {b.rater_id!r} share no items")
-            per_pair.append((a.rater_id, b.rater_id, per_label_prf(xs, ys, label_set)))
-    return _summarize_pairs(per_pair, tuple(label_set))
-
-
-def cross_pairwise_classification(
-    group_a: Sequence[RatingVector], group_b: Sequence[RatingVector], label_set: Sequence
-) -> PairwiseClassification:
-    """Classification comparison over every (a, b) pair; group_a plays gold."""
-    if not group_a or not group_b:
-        raise TooFewItems("both rater groups must be nonempty")
-    per_pair: list[tuple[str, str, ClassificationReport]] = []
-    for a in group_a:
-        for b in group_b:
-            xs, ys = a.common_items(b)
-            if not xs:
-                raise NoCommonItems(f"raters {a.rater_id!r} and {b.rater_id!r} share no items")
-            per_pair.append((a.rater_id, b.rater_id, per_label_prf(xs, ys, label_set)))
-    return _summarize_pairs(per_pair, tuple(label_set))
+    return classify_pairs(rater_pairs(raters), label_set)

@@ -24,7 +24,7 @@ from .verse import CATEGORIES, VerseGrade, VerseQuestion, aggregate_categories
 __all__ = [
     "ScoreScale", "RULER_SCALE", "VERSE_SCALE", "MAPPINGS", "to_percentage",
     "Cell", "AggregateTable", "aggregate_table", "table_to_csv", "table_to_dict",
-    "agreement_to_csv", "confusion_to_csv", "classification_to_dict", "radar_svg",
+    "agreement_to_csv", "confusion_to_csv", "radar_svg",
 ]
 
 log = logging.getLogger(__name__)
@@ -226,24 +226,6 @@ def confusion_to_csv(report: ClassificationReport) -> str:
     col_totals = [sum(report.confusion[gold][pred] for gold in labels) for pred in labels]
     writer.writerow(["total"] + [str(v) for v in col_totals] + [str(report.n_items)])
     return buf.getvalue()
-
-
-def classification_to_dict(report: ClassificationReport) -> dict:
-    return {
-        "accuracy": report.accuracy,
-        "macro_f1": report.macro_f1,
-        "n_items": report.n_items,
-        "per_label": {
-            str(label): {
-                "precision": stats.precision,
-                "recall": stats.recall,
-                "f1": stats.f1,
-                "support": stats.support,
-                "zero_division": stats.zero_division,
-            }
-            for label, stats in report.per_label.items()
-        },
-    }
 
 
 # -- radar chart --

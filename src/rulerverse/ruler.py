@@ -24,7 +24,6 @@ from .errors import (
     EmptyCandidate,
     EvalError,
     InsufficientShots,
-    MissingReference,
     OutOfRange,
     Unparsable,
 )
@@ -233,12 +232,7 @@ def ruler_prompt_sections(
         sections.append(("Worked examples", "\n\n".join(blocks)))
     sections.append(("Source passage", pair.source_text))
     if options.include_reference:
-        if options.reference_index >= len(pair.references):
-            raise MissingReference(
-                f"({pair.story_id!r}, {pair.index}) has {len(pair.references)} "
-                f"references, index {options.reference_index} requested"
-            )
-        sections.append(("Reference translation", pair.references[options.reference_index]))
+        sections.append(("Reference translation", pair.reference(options.reference_index)))
     sections.append(("Candidate translation", candidate_text))
     if options.use_cot:
         sections.append(

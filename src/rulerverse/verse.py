@@ -212,7 +212,7 @@ def build_grading_prompt(
         sections.append(("Story summary", summary.strip()))
     sections.append(("Source passage", pair.source_text))
     if options.include_reference:
-        sections.append(("Reference translation", pair.references[options.reference_index]))
+        sections.append(("Reference translation", pair.reference(options.reference_index)))
     sections.append(("Candidate translation", candidate_text))
     if options.use_cot:
         sections.append(

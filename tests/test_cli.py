@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from conftest import FIXTURES, write_synthetic_corpus
 from oracles import alpha_coincidence_oracle, rho_oracle, tau_b_oracle
 from rulerverse.cli import main
+from rulerverse.metrics import RatingVector
 
 APPROX = 1e-9
 
@@ -230,7 +232,8 @@ def test_agree_matches_oracles(tmp_path):
     assert len(list(run_dir.glob("confusion_*_vs_*.csv"))) == 15
 
 
-def test_agree_with_model_annotations(tmp_path):
+def _model_annotation_flags(tmp_path: Path) -> list[str]:
+    """One model rater on the honorifics channel, beside the fixture's humans."""
     model_path = tmp_path / "model_ann.jsonl"
     rows = [
         {"rater_id": "model-x", "channel": "honorifics", "story_id": "st-arbor",
@@ -238,10 +241,14 @@ def test_agree_with_model_annotations(tmp_path):
         for i, s in enumerate([5, 4, 5, 3, 1])
     ]
     model_path.write_text("\n".join(json.dumps(r) for r in rows), encoding="utf-8")
-    flags = common_flags(tmp_path, run_id="agree2") + [
+    return [
         "--annotations", str(FIXTURES / "annotations.jsonl"),
         "--model-annotations", str(model_path),
     ]
+
+
+def test_agree_with_model_annotations(tmp_path):
+    flags = common_flags(tmp_path, run_id="agree2") + _model_annotation_flags(tmp_path)
     assert main(["agree"] + flags) == 0
     payload = json.loads(
         (tmp_path / "out" / "agree2" / "agreement_honorifics.json").read_text()
@@ -257,6 +264,23 @@ def test_agree_with_model_annotations(tmp_path):
         taus.append(tau_b_oracle(x, y))
     assert versus["tau"] == pytest.approx(sum(taus) / 3, abs=APPROX)
     assert set(versus["mean_per_label_f1"]) == {"1", "2", "3", "4", "5"}
+
+
+def test_agree_aligns_each_rater_pair_once(tmp_path, monkeypatch):
+    calls = []
+    original = RatingVector.common_items
+
+    def counting(self, other):
+        calls.append((self.rater_id, other.rater_id))
+        return original(self, other)
+
+    monkeypatch.setattr(RatingVector, "common_items", counting)
+    flags = common_flags(tmp_path, run_id="agree3") + _model_annotation_flags(tmp_path)
+    assert main(["agree"] + flags) == 0
+    # each human pair once in each of the 5 channels; the model rates honorifics only
+    want = {pair: 5 for pair in [("r1", "r2"), ("r1", "r3"), ("r2", "r3")]}
+    want.update({(human, "model-x"): 1 for human in ("r1", "r2", "r3")})
+    assert Counter(calls) == want
 
 
 def test_translate_cli_produces_loadable_candidates(tmp_path):
@@ -321,3 +345,17 @@ def test_run_id_defaults_to_fingerprint_prefix(tmp_path):
     assert len(dirs[0]) == 12
     assert main(args) == 0  # same config reuses the same run dir
     assert [p.name for p in (tmp_path / "out").iterdir() if p.is_dir()] == dirs
+
+
+def test_verse_grade_reference_index_past_last_is_item_failure(tmp_path):
+    flags = common_flags(tmp_path)
+    run_dir = tmp_path / "out" / "run1"
+    assert main(["verse", "gen"] + flags) == 0
+    assert main(["verse", "classify"] + flags) == 0
+    assert main(["verse", "grade"] + flags + ["--reference-index", "5"]) == 0
+    _, grades = read_artifact(run_dir / "grades.jsonl")
+    assert grades == []
+    summary = json.loads((run_dir / "verse_grade_summary.json").read_text())
+    assert summary["items_total"] == 180
+    assert summary["items_failed"] == 180
+    assert {f["error"] for f in summary["failures"]} == {"MissingReference"}

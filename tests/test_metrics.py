@@ -376,3 +376,29 @@ def test_alpha_invariant_under_reordering(ratings, rng):
         assert got is None
     else:
         assert got == pytest.approx(base, abs=APPROX)
+
+
+# small value pools make ties heavy; a one-value pool gives a constant vector
+_tau_values = st.one_of(
+    st.integers(min_value=-3, max_value=5),
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def tie_heavy_pairs(draw):
+    pool_x = draw(st.lists(_tau_values, min_size=1, max_size=6))
+    pool_y = draw(st.lists(_tau_values, min_size=1, max_size=6))
+    n = draw(st.integers(min_value=2, max_value=300))
+    x = draw(st.lists(st.sampled_from(pool_x), min_size=n, max_size=n))
+    y = draw(st.lists(st.sampled_from(pool_y), min_size=n, max_size=n))
+    return x, y
+
+
+@settings(max_examples=120, deadline=None)
+@given(tie_heavy_pairs())
+def test_tau_b_equals_pairwise_oracle_exactly(xy):
+    # exact equality: the O(n log n) count must reproduce the pairwise
+    # count's integers, so the closing float division is bit-identical
+    x, y = xy
+    assert kendall_tau_b(x, y) == tau_b_oracle(x, y)
