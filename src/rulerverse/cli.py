@@ -14,7 +14,6 @@ import json
 import logging
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -30,7 +29,7 @@ from .corpus import (
 from .errors import EmptyRun, EvalError, MixedFingerprint, UnclassifiedQuestion
 from .judge import Judge, JudgeConfig
 from .metrics import RatingVector
-from .ruler import ItemFailure, PromptOptions
+from .ruler import ItemFailure, PromptOptions, split_failures
 
 log = logging.getLogger(__name__)
 
@@ -323,20 +322,8 @@ def cmd_verse_gen(ctx: RunContext) -> int:
                 stage="verse:gen", error=type(exc).__name__, message=str(exc),
             )
 
-    workers = ctx.args.jobs or judge.config.concurrency_limit
-    if workers <= 1 or len(pairs) <= 1:
-        outcomes = [work(p) for p in pairs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(work, pairs))
-
-    questions: list[verse.VerseQuestion] = []
-    failures: list[ItemFailure] = []
-    for outcome in outcomes:
-        if isinstance(outcome, ItemFailure):
-            failures.append(outcome)
-        else:
-            questions.extend(outcome)
+    generated, failures = split_failures(judge.map(work, pairs, ctx.args.jobs))
+    questions = [q for qs in generated for q in qs]
     questions.sort(key=lambda q: (q.story_id, q.index, q.question_id))
     write_artifact(
         ctx.out_dir / "questions.jsonl",
@@ -374,25 +361,13 @@ def cmd_verse_classify(ctx: RunContext) -> int:
                 message=f"{q.question_id}: {exc}",
             )
 
-    workers = ctx.args.jobs or judge.config.concurrency_limit
-    if workers <= 1 or len(questions) <= 1:
-        outcomes = [work(q) for q in questions]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(work, questions))
-
-    classified: list[verse.VerseQuestion] = []
-    failures: list[ItemFailure] = []
-    for outcome in outcomes:
-        if isinstance(outcome, ItemFailure):
-            failures.append(outcome)
-        else:
-            classified.append(outcome)
+    _, failures = split_failures(judge.map(work, questions, ctx.args.jobs))
+    # a question that failed keeps category null, so a rerun retries only it
     meta = meta or ctx.meta(judge)
-    write_artifact(path, meta, [verse.question_to_record(q) for q in classified])
+    write_artifact(path, meta, [verse.question_to_record(q) for q in questions])
     ctx.write_summary(
         "verse_classify", judge, len(questions), failures,
-        extra={"classified": len(classified)},
+        extra={"classified": len(questions) - len(failures)},
     )
     return 0
 
@@ -439,20 +414,7 @@ def cmd_verse_grade(ctx: RunContext) -> int:
                 message=f"{q.question_id}: {exc}",
             )
 
-    workers = ctx.args.jobs or judge.config.concurrency_limit
-    if workers <= 1 or len(jobs) <= 1:
-        outcomes = [work(j) for j in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(work, jobs))
-
-    grades: list[verse.VerseGrade] = []
-    failures: list[ItemFailure] = []
-    for outcome in outcomes:
-        if isinstance(outcome, ItemFailure):
-            failures.append(outcome)
-        else:
-            grades.append(outcome)
+    grades, failures = split_failures(judge.map(work, jobs, ctx.args.jobs))
     grades.sort(key=lambda g: (g.system_id, g.question_id))
     options_fp = options.fingerprint()
     write_artifact(
@@ -690,7 +652,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-reference", action="store_true", help="omit the reference block")
     parser.add_argument("--reference-index", type=int, default=0)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--jobs", type=int, help="worker bound (default: judge limit)")
+    parser.add_argument("--jobs", type=int, help="threads that wait on a live backend "
+                        "(default: 4); cache hits and mock answers run in the calling thread")
     parser.add_argument("--out", default="out", help="output root directory")
     parser.add_argument("--run-id", help="default: config fingerprint prefix")
     parser.add_argument("--cache-dir", help="judge cache (default: <out>/judge_cache)")

@@ -48,7 +48,17 @@ class SamplingError(EvalError):
 # -- judge --
 
 class TransportExhausted(EvalError):
-    """Live backend failed on every retry."""
+    """Live backend failed on every retry, or in a way no retry can mend."""
+
+
+class BackendResponseError(EvalError):
+    """Live backend answered with an error status or a malformed body."""
+
+    def __init__(self, status: int, detail: str):
+        super().__init__(f"HTTP {status}: {detail}")
+        self.status = status
+        # rate limits and server errors may pass; other answers will not change
+        self.transient = status == 429 or status >= 500
 
 
 class EmptyCompletion(EvalError):

@@ -1,9 +1,9 @@
 """Chat-completion client: live HTTP backend, scripted mock, on-disk cache.
 
-This is the only module that performs network I/O.  Responses are cached by a
-stable hash of (model_id, temperature, system_text, user_text); cache entries
-store the full request next to the response so a run can be audited later, and
-nothing is ever evicted automatically.
+This is the only module that performs network I/O or starts threads.  Responses
+are cached by a stable hash of (model_id, temperature, system_text, user_text);
+cache entries store the full request next to the response so a run can be
+audited later, and nothing is ever evicted automatically.
 """
 from __future__ import annotations
 
@@ -15,13 +15,13 @@ import re
 import tempfile
 import threading
 import time
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, Sequence
 
-import requests
-
-from .errors import CorpusFormatError, EmptyCompletion, MockScriptMiss, TransportExhausted
+from .errors import (BackendResponseError, CorpusFormatError, EmptyCompletion, MockScriptMiss,
+                     TransportExhausted)
 
 log = logging.getLogger(__name__)
 
@@ -141,6 +141,18 @@ class JudgeStats:
     cache_hits: int = 0
 
 
+class _NeedsBackend(BaseException):
+    """A miss in the calling thread of `Judge.map` that must wait on the live
+    backend.  Not an Exception, so the stages' error handling lets it through."""
+
+
+class _Inline(threading.local):
+    """Per thread: does it run `Judge.map` items inline, with how many hits so far."""
+
+    active = False
+    hits = 0
+
+
 class Judge:
     """Thread-safe completion client; share one instance across workers."""
 
@@ -149,6 +161,7 @@ class Judge:
         self._stats = JudgeStats()
         self._lock = threading.Lock()
         self._sem = threading.Semaphore(config.concurrency_limit)
+        self._inline = _Inline()
         self._script: MockScript | None = None
         if config.backend == "mock":
             if config.script_path is None:
@@ -157,7 +170,7 @@ class Judge:
         if config.cache_dir is not None:
             Path(config.cache_dir).mkdir(parents=True, exist_ok=True)
 
-    # Shared mutable state (counters, semaphore, script) is carried over so a
+    # Shared mutable state (counters, semaphore, inline state, script) is kept so a
     # derived judge still reports into the same run statistics.
     def with_temperature(self, temperature: float | None) -> "Judge":
         clone = object.__new__(type(self))
@@ -165,8 +178,40 @@ class Judge:
         clone._stats = self._stats
         clone._lock = self._lock
         clone._sem = self._sem
+        clone._inline = self._inline
         clone._script = self._script
         return clone
+
+    def map(self, work: Callable[[Any], Any], items: Sequence, jobs: int | None = None) -> list:
+        """`work(item)` for every item, outcomes in input order.
+
+        Each item first runs in the calling thread, where cache hits and mock
+        answers are served at once.  An item that misses the cache of a live
+        backend is handed to a pool of at most `jobs` threads (default: the
+        concurrency limit), created at the first such item, and reruns there
+        from its start while the scan goes on.
+        """
+        outcomes: list[Any] = []
+        pool: ThreadPoolExecutor | None = None
+        inline = self._inline
+        try:
+            for item in items:
+                inline.active, inline.hits = True, 0
+                try:
+                    outcomes.append(work(item))
+                except _NeedsBackend:
+                    # the worker reads this item's hits again and counts them then
+                    with self._lock:
+                        self._stats.cache_hits -= inline.hits
+                    if pool is None:
+                        pool = ThreadPoolExecutor(max_workers=jobs or self.config.concurrency_limit)
+                    outcomes.append(pool.submit(work, item))
+                finally:
+                    inline.active = False
+            return [o.result() if isinstance(o, Future) else o for o in outcomes]
+        finally:
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
 
     @property
     def stats(self) -> dict[str, int]:
@@ -183,16 +228,18 @@ class Judge:
         if cached_text is not None:
             with self._lock:
                 self._stats.cache_hits += 1
+            self._inline.hits += 1
             return JudgeResponse(
                 text=cached_text, cached=True, backend_id=self.config.model_id, latency=0.0
             )
+        if self._script is None and self._inline.active:
+            raise _NeedsBackend
 
         start = time.monotonic()
-        with self._sem:
-            if self._script is not None:
-                text = self._script.respond(request.system_text, request.user_text)
-            else:
-                text = self._live_complete(request.system_text, request.user_text, temperature)
+        if self._script is not None:
+            text = self._script.respond(request.system_text, request.user_text)
+        else:
+            text = self._live_complete(request.system_text, request.user_text, temperature)
         latency = time.monotonic() - start
         with self._lock:
             self._stats.backend_calls += 1
@@ -250,22 +297,35 @@ class Judge:
     # -- live transport --
 
     def _post(self, payload: dict[str, Any]) -> str:
-        """Single HTTP attempt against a chat-completions endpoint."""
+        """Single HTTP attempt against a chat-completions endpoint.  Raises
+        ConnectionError or TimeoutError when no answer came, BackendResponseError
+        for an error status or a malformed body."""
+        import requests  # only the live transport needs it
+
         api_key = os.environ.get(self.config.api_key_env, "")
         headers = {"Content-Type": "application/json"}
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
-        resp = requests.post(
-            self.config.endpoint, json=payload, headers=headers, timeout=self.config.timeout
-        )
-        resp.raise_for_status()
-        body = resp.json()
-        return body["choices"][0]["message"]["content"]
+        try:
+            resp = requests.post(self.config.endpoint, json=payload, headers=headers,
+                                 timeout=self.config.timeout)
+        except requests.Timeout as exc:
+            raise TimeoutError(str(exc)) from exc
+        except (requests.ConnectionError, requests.exceptions.ChunkedEncodingError) as exc:
+            raise ConnectionError(str(exc)) from exc
+        if resp.status_code >= 400:
+            raise BackendResponseError(resp.status_code, resp.reason or "")
+        try:
+            return resp.json()["choices"][0]["message"]["content"]
+        except (ValueError, LookupError, TypeError) as exc:
+            raise BackendResponseError(resp.status_code, f"malformed body ({exc!r})") from exc
 
     def _sleep(self, seconds: float) -> None:
         time.sleep(seconds)
 
     def _live_complete(self, system_text: str, user_text: str, temperature: float | None) -> str:
+        """Retries connection errors, timeouts, 429 and 5xx; fails at once on
+        anything else.  Backoff sleeps hold no concurrency slot."""
         payload: dict[str, Any] = {
             "model": self.config.model_id,
             "messages": [
@@ -275,19 +335,22 @@ class Judge:
         }
         if temperature is not None:
             payload["temperature"] = temperature
-        last_error: Exception | None = None
-        for attempt in range(self.config.max_retries + 1):
+        attempts = self.config.max_retries + 1
+        for attempt in range(attempts):
             try:
-                return self._post(payload)
-            except Exception as exc:
+                with self._sem:
+                    return self._post(payload)
+            except BackendResponseError as exc:
+                if not exc.transient:
+                    raise
+                last_error: Exception = exc
+            except (ConnectionError, TimeoutError) as exc:
                 last_error = exc
-                if attempt < self.config.max_retries:
-                    delay = 2.0 ** attempt
-                    log.warning(
-                        "judge attempt %d/%d failed (%r), retrying in %.0fs",
-                        attempt + 1, self.config.max_retries + 1, exc, delay,
-                    )
-                    self._sleep(delay)
-        raise TransportExhausted(
-            f"gave up after {self.config.max_retries + 1} attempts: {last_error!r}"
-        )
+            except Exception as exc:
+                raise TransportExhausted(f"not retried: {exc!r}") from exc
+            if attempt < attempts - 1:
+                delay = 2.0 ** attempt
+                log.warning("judge attempt %d/%d failed (%r), retrying in %.0fs",
+                            attempt + 1, attempts, last_error, delay)
+                self._sleep(delay)
+        raise TransportExhausted(f"gave up after {attempts} attempts: {last_error!r}")

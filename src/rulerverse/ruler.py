@@ -11,7 +11,6 @@ import hashlib
 import json
 import logging
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
@@ -283,14 +282,12 @@ def parse_score(response_text: str, lo: int, hi: int) -> int:
     return value
 
 
-def parse_likert_score(response_text: str, use_cot: bool = False) -> int:
-    """Extract the 1..5 score; the last conforming line wins either way.
+def parse_likert_score(response_text: str) -> int:
+    """Extract the 1..5 score; the last conforming line wins.
 
     The instructed format puts the score on the final line for both the
-    score-only and the reason-then-score prompt, so use_cot does not change
-    parsing; it is accepted to mirror the prompt contract.
+    score-only and the reason-then-score prompt, so both parse alike.
     """
-    del use_cot
     return parse_score(response_text, 1, 5)
 
 
@@ -324,17 +321,16 @@ class ItemFailure:
         }
 
 
+def split_failures(outcomes: Sequence) -> tuple[list, list[ItemFailure]]:
+    """A stage's outcomes as (successes, failures), each in input order."""
+    failures = [o for o in outcomes if isinstance(o, ItemFailure)]
+    return [o for o in outcomes if not isinstance(o, ItemFailure)], failures
+
+
 @dataclass
 class RulerRunResult:
     scorecards: list[RubricScorecard]
     failures: list[ItemFailure]
-
-    def summary(self) -> dict:
-        return {
-            "items_ok": len(self.scorecards),
-            "items_failed": len(self.failures),
-            "failures": [f.to_dict() for f in self.failures],
-        }
 
 
 def _strip_score_line(text: str) -> str:
@@ -362,7 +358,7 @@ def _score_one(
                 criterion, pair, candidate_text, rubric, summary, options, shots
             )
             response = judge.complete(request)
-            scores[criterion] = parse_likert_score(response.text, options.use_cot)
+            scores[criterion] = parse_likert_score(response.text)
             raw[criterion] = response.text
             if options.use_cot:
                 rationales[criterion] = _strip_score_line(response.text)
@@ -400,7 +396,6 @@ def score_candidate(
     back in corpus order regardless of worker completion order.
     """
     pairs = [p for p in corpus.pairs() if (p.story_id, p.index) in candidates.translations]
-    workers = jobs if jobs is not None else judge.config.concurrency_limit
 
     def work(pair: ParagraphPair) -> RubricScorecard | ItemFailure:
         return _score_one(
@@ -414,18 +409,7 @@ def score_candidate(
             shots,
         )
 
-    if workers <= 1 or len(pairs) <= 1:
-        outcomes = [work(p) for p in pairs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(work, pairs))
-
-    result = RulerRunResult(scorecards=[], failures=[])
-    for outcome in outcomes:
-        if isinstance(outcome, ItemFailure):
-            result.failures.append(outcome)
-        else:
-            result.scorecards.append(outcome)
+    result = RulerRunResult(*split_failures(judge.map(work, pairs, jobs)))
     if result.failures:
         log.warning("ruler run: %d of %d items failed", len(result.failures), len(pairs))
     return result

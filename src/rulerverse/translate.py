@@ -11,13 +11,12 @@ import hashlib
 import json
 import logging
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .corpus import CandidateSet, Corpus, ParagraphPair
 from .errors import EvalError, InsufficientBank
 from .judge import Judge, JudgeRequest
-from .ruler import ItemFailure
+from .ruler import ItemFailure, split_failures
 
 log = logging.getLogger(__name__)
 
@@ -143,9 +142,8 @@ def translate_corpus(
     translator = judge.with_temperature(None)
     system = system_id or judge.config.model_id
     pairs = list(corpus.pairs())
-    workers = jobs if jobs is not None else judge.config.concurrency_limit
 
-    def work(pair: ParagraphPair) -> tuple[ParagraphPair, str | ItemFailure]:
+    def work(pair: ParagraphPair) -> tuple[tuple[str, int], str] | ItemFailure:
         summary = corpus.story(pair.story_id).summary
         try:
             shots = (
@@ -166,9 +164,9 @@ def translate_corpus(
                     pair.source_text, shots, summary, spec.include_summary
                 )
                 text = translator.complete(request).text.strip()
-            return pair, text
+            return (pair.story_id, pair.index), text
         except EvalError as exc:
-            return pair, ItemFailure(
+            return ItemFailure(
                 system_id=system,
                 story_id=pair.story_id,
                 index=pair.index,
@@ -177,19 +175,8 @@ def translate_corpus(
                 message=str(exc),
             )
 
-    if workers <= 1 or len(pairs) <= 1:
-        outcomes = [work(p) for p in pairs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(work, pairs))
-
-    translations: dict[tuple[str, int], str] = {}
-    failures: list[ItemFailure] = []
-    for pair, outcome in outcomes:
-        if isinstance(outcome, ItemFailure):
-            failures.append(outcome)
-        else:
-            translations[(pair.story_id, pair.index)] = outcome
+    done, failures = split_failures(judge.map(work, pairs, jobs))
+    translations = dict(done)
 
     provenance = {
         "model_id": judge.config.model_id,

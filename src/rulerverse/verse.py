@@ -10,7 +10,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .corpus import ParagraphPair
 from .errors import (
@@ -347,10 +347,3 @@ def grade_from_record(record: dict) -> VerseGrade:
         system_id=record["system_id"],
         score=record["score"],
     )
-
-
-def questions_by_key(questions: Iterable[VerseQuestion]) -> dict[tuple[str, int], list[VerseQuestion]]:
-    grouped: dict[tuple[str, int], list[VerseQuestion]] = {}
-    for q in questions:
-        grouped.setdefault((q.story_id, q.index), []).append(q)
-    return grouped

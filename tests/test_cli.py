@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 from conftest import FIXTURES, write_synthetic_corpus
 from oracles import alpha_coincidence_oracle, rho_oracle, tau_b_oracle
 from rulerverse.cli import main
+from rulerverse.judge import Judge, MockScript
 from rulerverse.metrics import RatingVector
 
 APPROX = 1e-9
@@ -359,3 +361,105 @@ def test_verse_grade_reference_index_past_last_is_item_failure(tmp_path):
     assert summary["items_total"] == 180
     assert summary["items_failed"] == 180
     assert {f["error"] for f in summary["failures"]} == {"MissingReference"}
+
+
+def test_verse_classify_keeps_failed_questions_for_a_rerun(tmp_path):
+    flags = common_flags(tmp_path)
+    run_dir = tmp_path / "out" / "run1"
+    assert main(["verse", "gen"] + flags) == 0
+    path = run_dir / "questions.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    # one question gets a text that only the working script can classify
+    lines = [line.replace(" across the passage", "") if '"st-arbor:0:q09"' in line else line
+             for line in lines]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    script = json.loads((FIXTURES / "mock_script.json").read_text(encoding="utf-8"))
+    for rule in script["rules"]:
+        if "rendered consistently" in rule["contains"]:
+            rule["contains"] = [*rule["contains"], "across the passage"]
+    failing = tmp_path / "failing_script.json"
+    failing.write_text(json.dumps(script), encoding="utf-8")
+    failing_flags = list(flags)
+    failing_flags[failing_flags.index(str(FIXTURES / "mock_script.json"))] = str(failing)
+
+    assert main(["verse", "classify"] + failing_flags) == 0
+    _, questions = read_artifact(path)
+    assert len(questions) == 90
+    assert [q["question_id"] for q in questions if q["category"] is None] == ["st-arbor:0:q09"]
+    summary = json.loads((run_dir / "verse_classify_summary.json").read_text())
+    assert (summary["items_failed"], summary["classified"]) == (1, 89)
+    assert main(["verse", "grade"] + flags) == 1  # unclassified questions are refused
+
+    assert main(["verse", "classify"] + flags) == 0
+    _, questions = read_artifact(path)
+    assert len(questions) == 90
+    assert next(q for q in questions if q["question_id"] == "st-arbor:0:q09")["category"] == (
+        "Overall Consistency and Cohesion"
+    )
+    summary = json.loads((run_dir / "verse_classify_summary.json").read_text())
+    assert (summary["items_failed"], summary["backend_calls"], summary["classified"]) == (0, 1, 90)
+
+
+STAGES = {
+    "translate": ["translate", "--bank-stories", "st-arbor", "st-brook", "--no-dialogue-mix"],
+    "ruler": ["ruler"],
+    "verse_gen": ["verse", "gen"],
+    "verse_classify": ["verse", "classify"],
+    "verse_grade": ["verse", "grade"],
+}
+
+
+def _run_stages(tmp_path: Path, jobs: int, live: bool = False) -> tuple[Path, dict[str, dict]]:
+    """Every judge stage on the fixtures; returns the run directory and summaries."""
+    flags = common_flags(tmp_path) + ["--jobs", str(jobs)]
+    if live:
+        flags[flags.index("--backend") + 1] = "live"
+    for stage, argv in STAGES.items():
+        assert main(argv + flags) == 0, stage
+    run_dir = tmp_path / "out" / "run1"
+    return run_dir, {
+        stage: json.loads((run_dir / f"{stage}_summary.json").read_text()) for stage in STAGES
+    }
+
+
+def _scripted_post(script: MockScript):
+    def post(self, payload):
+        system, user = (m["content"] for m in payload["messages"])
+        if "Translate the source passage" in user:
+            return "T: " + user.rsplit("\n", 1)[-1]
+        return script.respond(system, user)
+    return post
+
+
+def test_mock_answers_never_leave_the_calling_thread(tmp_path, monkeypatch):
+    threads = []
+    respond = MockScript.respond
+
+    def recording(self, system_text, user_text):
+        threads.append(threading.get_ident())
+        if "Translate the source passage" in user_text:
+            return "translated"
+        return respond(self, system_text, user_text)
+
+    monkeypatch.setattr(MockScript, "respond", recording)
+    _, summaries = _run_stages(tmp_path, jobs=4)
+    assert len(threads) == sum(s["backend_calls"] for s in summaries.values())
+    assert summaries["verse_grade"]["backend_calls"] == 180
+    assert set(threads) == {threading.get_ident()}
+
+
+def test_outputs_identical_at_one_and_four_jobs(tmp_path, monkeypatch):
+    script = MockScript.load(FIXTURES / "mock_script.json")
+    monkeypatch.setattr(Judge, "_post", _scripted_post(script))
+    (dir1, sums1), (dir4, sums4) = (
+        _run_stages(tmp_path / f"jobs{jobs}", jobs, live=True) for jobs in (1, 4)
+    )
+    names = ["candidates_mock-judge.jsonl", "scorecards.jsonl", "honorifics_audit.json",
+             "questions.jsonl", "grades.jsonl"]
+    for name in names:
+        assert (dir1 / name).read_bytes() == (dir4 / name).read_bytes(), name
+    for stage in STAGES:
+        sums1[stage].pop("output", None), sums4[stage].pop("output", None)
+        assert sums1[stage] == sums4[stage] and sums1[stage]["items_failed"] == 0, stage
+    assert sums4["verse_grade"]["backend_calls"] == 180

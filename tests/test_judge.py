@@ -1,11 +1,23 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
-from conftest import make_judge
-from rulerverse.errors import EmptyCompletion, MockScriptMiss, TransportExhausted
+import rulerverse
+from conftest import FIXTURES, make_judge
+from rulerverse.corpus import load_candidates
+from rulerverse.errors import (
+    BackendResponseError,
+    EmptyCompletion,
+    MockScriptMiss,
+    TransportExhausted,
+)
 from rulerverse.judge import (
     Judge,
     JudgeConfig,
@@ -14,6 +26,7 @@ from rulerverse.judge import (
     cache_key,
     prompt_hash,
 )
+from rulerverse.ruler import CRITERIA, PromptOptions, build_ruler_prompt, bundled_rubric, score_candidate
 
 SCRIPT = {
     "rules": [
@@ -232,3 +245,247 @@ def test_concurrent_completions(tmp_path):
     stats = judge.stats
     assert stats["backend_calls"] + stats["cache_hits"] == 40
     assert stats["backend_calls"] >= 5  # five distinct prompts
+
+
+class _StatusLive(Judge):
+    """Live judge whose transport answers with a fixed HTTP error status."""
+
+    def __init__(self, config, status):
+        super().__init__(config)
+        self.status = status
+        self.attempts = 0
+        self.free_during_sleep = []
+
+    def _post(self, payload):
+        self.attempts += 1
+        raise BackendResponseError(self.status, "scripted")
+
+    def _sleep(self, seconds):
+        # every slot must be free: a backoff holds no concurrency slot
+        n = self.config.concurrency_limit
+        taken = sum(self._sem.acquire(blocking=False) for _ in range(n))
+        for _ in range(taken):
+            self._sem.release()
+        self.free_during_sleep.append(taken == n)
+
+
+@pytest.mark.parametrize("status", [400, 401, 403, 404, 422])
+def test_live_client_errors_fail_at_once(tmp_path, status):
+    judge = _StatusLive(_live_config(tmp_path), status)
+    with pytest.raises(BackendResponseError, match=f"HTTP {status}"):
+        judge.complete(JudgeRequest("s", "u"))
+    assert judge.attempts == 1
+    assert judge.stats == {"backend_calls": 0, "cache_hits": 0}
+
+
+@pytest.mark.parametrize("status", [429, 500, 503])
+def test_live_transient_statuses_are_retried(tmp_path, status):
+    judge = _StatusLive(_live_config(tmp_path, retries=3), status)
+    with pytest.raises(TransportExhausted, match=f"HTTP {status}"):
+        judge.complete(JudgeRequest("s", "u"))
+    assert judge.attempts == 4
+    assert judge.free_during_sleep == [True, True, True]
+
+
+def test_live_unexpected_error_is_not_retried(tmp_path):
+    class Broken(Judge):
+        attempts = 0
+
+        def _post(self, payload):
+            self.attempts += 1
+            raise ValueError("bad URL")
+
+    judge = Broken(_live_config(tmp_path))
+    with pytest.raises(TransportExhausted, match="bad URL"):
+        judge.complete(JudgeRequest("s", "u"))
+    assert judge.attempts == 1
+
+
+class _StubHandler(BaseHTTPRequestHandler):
+    """Answers each POST with the next (status, body) of the server's script."""
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.seen += 1
+        status, body = self.server.script[min(self.server.seen, len(self.server.script)) - 1]
+        data = body.encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def stub():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
+    server.seen, server.script = 0, []
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+
+
+def _stub_judge(tmp_path, server):
+    config = _live_config(tmp_path, retries=2)
+    config.endpoint = f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
+    config.timeout = 5.0
+    judge = Judge(config)
+    judge._sleep = lambda seconds: None
+    return judge
+
+
+OK_BODY = json.dumps({"choices": [{"message": {"content": "Score: 4"}}]})
+
+
+@pytest.mark.parametrize(
+    "script, outcome, requests_made",
+    [
+        ([(200, OK_BODY)], "Score: 4", 1),
+        ([(503, "{}"), (429, "{}"), (200, OK_BODY)], "Score: 4", 3),
+        ([(503, "{}")], TransportExhausted, 3),
+        ([(401, "{}")], BackendResponseError, 1),
+        ([(200, "not json")], BackendResponseError, 1),
+        ([(200, json.dumps({"choices": []}))], BackendResponseError, 1),
+    ],
+)
+def test_live_transport_against_loopback_stub(tmp_path, stub, script, outcome, requests_made):
+    stub.script = script
+    judge = _stub_judge(tmp_path, stub)
+    if isinstance(outcome, str):
+        assert judge.complete(JudgeRequest("s", "u")).text == outcome
+    else:
+        with pytest.raises(outcome):
+            judge.complete(JudgeRequest("s", "u"))
+    assert stub.seen == requests_made
+
+
+def test_connection_refused_is_retried(tmp_path, stub):
+    judge = _stub_judge(tmp_path, stub)
+    stub.shutdown()
+    stub.server_close()
+    with pytest.raises(TransportExhausted, match="gave up after 3 attempts"):
+        judge.complete(JudgeRequest("s", "u"))
+
+
+def test_importing_the_cli_leaves_requests_out():
+    src = str(Path(rulerverse.__file__).resolve().parents[1])
+    code = "import sys, rulerverse.cli; print('requests' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={"PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"
+
+
+# -- the stage runner --
+
+def test_map_keeps_input_order_and_answers_mock_inline(tmp_path):
+    judge = make_judge(tmp_path, script=SCRIPT)
+    caller = threading.get_ident()
+    threads = []
+
+    def work(i):
+        threads.append(threading.get_ident())
+        return judge.complete(JudgeRequest("s", f"item {i}")).text + f" #{i}"
+
+    assert judge.map(work, range(30), jobs=4) == [f"Score: 3 #{i}" for i in range(30)]
+    assert set(threads) == {caller}
+
+
+class _ScriptedLive(Judge):
+    """Live judge whose transport answers from the fixture mock script."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.script = MockScript.load(FIXTURES / "mock_script.json")
+        self.posts = []
+        self.served = []
+
+    def _post(self, payload):
+        self.posts.append(threading.get_ident())
+        system, user = (m["content"] for m in payload["messages"])
+        return self.script.respond(system, user)
+
+    def complete(self, request):
+        response = super().complete(request)
+        self.served.append((threading.get_ident(), request.user_text, response.cached))
+        return response
+
+
+def test_live_runner_sends_only_misses_to_workers(tmp_path, fixture_corpus):
+    cands = load_candidates(FIXTURES / "candidates_alpha.jsonl", fixture_corpus)
+    rubric, options = bundled_rubric(), PromptOptions()
+    pairs = list(fixture_corpus.pairs())
+    assert len(pairs) == 10
+
+    def prompt(pair, criterion):
+        return build_ruler_prompt(
+            criterion, pair, cands.translations[(pair.story_id, pair.index)], rubric,
+            fixture_corpus.story(pair.story_id).summary, options, [],
+        )
+
+    # items 0-4 fully cached; item 5 has its first two criteria cached, not its last two
+    filler = make_judge(tmp_path, model_id="m")
+    for pair in pairs[:5]:
+        for criterion in CRITERIA:
+            filler.complete(prompt(pair, criterion))
+    partial = [prompt(pairs[5], c).user_text for c in CRITERIA[:2]]
+    for criterion in CRITERIA[:2]:
+        filler.complete(prompt(pairs[5], criterion))
+
+    judge = _ScriptedLive(_live_config(tmp_path))
+    result = score_candidate(fixture_corpus, cands, rubric, options, judge, jobs=4)
+    expected = score_candidate(fixture_corpus, cands, rubric, options, make_judge(tmp_path / "ref"))
+
+    caller = threading.get_ident()
+    assert [c.scores for c in result.scorecards] == [c.scores for c in expected.scorecards]
+    assert not result.failures
+    assert len(judge.posts) == 4 * 10 - (4 * 5 + 2)
+    assert caller not in judge.posts
+    worker_hits = [user for thread, user, cached in judge.served if cached and thread != caller]
+    assert worker_hits == partial  # the queued item rereads its own hits, nothing else
+    # the queued item's first pass also served its two hits in the calling
+    # thread; the stats drop those, so every call counts once
+    inline_hits = [user for thread, user, cached in judge.served if cached and thread == caller]
+    assert len(inline_hits) == 4 * 5 + 2
+    assert judge.stats == {"backend_calls": len(judge.posts), "cache_hits": 4 * 5 + 2}
+    assert sum(judge.stats.values()) == len(judge.served) - len(partial) == 4 * 10
+
+
+def test_map_counts_each_call_once_under_thread_switching(tmp_path):
+    class Live(Judge):
+        def _post(self, payload):
+            with lock:
+                posts.append(payload["messages"][1]["content"])
+            return "ok"
+
+    lock, posts = threading.Lock(), []
+    prompts = [[f"item {i} part {k}" for k in range(3)] for i in range(150)]
+    # every fourth item fully cached, the others partly
+    cached = {prompts[i][k] for i in range(150) for k in range(3) if i * k % 4 == 0}
+    filler = make_judge(tmp_path, script={"rules": [], "default": "ok"}, model_id="m")
+    for p in cached:
+        filler.complete(JudgeRequest("s", p))
+    judge = Live(_live_config(tmp_path))
+
+    def work(item):
+        return [judge.complete(JudgeRequest("s", p)).text for p in item]
+
+    result = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=lambda: result.append(judge.map(work, prompts, jobs=8)))
+        runner.start()
+        runner.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert result == [[["ok"] * 3] * 150]
+    assert sorted(posts) == sorted(p for item in prompts for p in item if p not in cached)
+    assert judge.stats == {"backend_calls": len(posts), "cache_hits": len(cached)}

@@ -230,7 +230,7 @@ def test_parse_likert_plain():
 
 
 def test_parse_likert_cot_last_line():
-    assert parse_likert_score("The honorifics are consistent...\nScore: 5", use_cot=True) == 5
+    assert parse_likert_score("The honorifics are consistent...\nScore: 5") == 5
 
 
 def test_parse_likert_last_conforming_line_wins():
