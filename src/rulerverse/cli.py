@@ -3,7 +3,9 @@
 Every subcommand writes into out/<run_id>/ and embeds the run's config
 fingerprint in each artifact; re-running with an unchanged config is
 idempotent because judge completions are served from the on-disk cache and
-artifact files are rewritten atomically with deterministic content.
+every artifact file is rewritten atomically (`corpus.write_atomic`) with
+deterministic content.  `--jobs` sets the judge's concurrency limit, the one
+bound on the threads that wait on a live backend.
 """
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ import json
 import logging
 import re
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -79,20 +82,13 @@ def read_artifact(path: Path) -> tuple[dict, list[dict]]:
 
 
 def write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(
-        json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
+    corpus_mod.write_atomic(
+        path, json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
     )
-    tmp.replace(path)
 
 
 def write_csv_with_fingerprint(path: Path, fingerprint: str, body: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(f"# fingerprint={fingerprint}\n{body}", encoding="utf-8")
-    tmp.replace(path)
+    corpus_mod.write_atomic(path, f"# fingerprint={fingerprint}\n{body}")
 
 
 # -- shared construction --
@@ -131,7 +127,7 @@ class RunContext:
             max_retries=args.max_retries,
             timeout=args.timeout,
             cache_dir=cache_dir,
-            concurrency_limit=args.jobs or 4,
+            concurrency_limit=args.jobs,
         )
         return Judge(config)
 
@@ -178,7 +174,7 @@ class RunContext:
             "run_id": self.run_id,
             "items_total": items_total,
             "items_failed": len(failures),
-            "failures": [f.to_dict() for f in failures],
+            "failures": [asdict(f) for f in failures],
         }
         if judge is not None:
             summary.update(judge.stats)
@@ -226,7 +222,7 @@ def cmd_sample(ctx: RunContext) -> int:
         questions=questions,
         systems=systems,
     )
-    payload = {"fingerprint": ctx.fingerprint, **manifest.to_dict()}
+    payload = {"fingerprint": ctx.fingerprint, **asdict(manifest)}
     write_json(ctx.out_dir / "manifest.json", payload)
     print(
         json.dumps(
@@ -246,9 +242,7 @@ def cmd_translate(ctx: RunContext) -> int:
         require_dialogue_mix=not ctx.args.no_dialogue_mix,
     )
     judge = ctx.judge()
-    result = translate.translate_corpus(
-        corpus, spec, judge, system_id=ctx.args.system_id, jobs=ctx.args.jobs
-    )
+    result = translate.translate_corpus(corpus, spec, judge, system_id=ctx.args.system_id)
     result.candidates.provenance["fingerprint"] = ctx.fingerprint
     out_path = ctx.out_dir / f"candidates_{_sanitize(result.candidates.system_id)}.jsonl"
     corpus_mod.save_candidates(result.candidates, out_path)
@@ -277,9 +271,7 @@ def cmd_ruler(ctx: RunContext) -> int:
     total = 0
     for cands in candidate_sets:
         total += len(cands.translations)
-        result = ruler.score_candidate(
-            corpus, cands, rubric, options, judge, shots=shots, jobs=ctx.args.jobs
-        )
+        result = ruler.score_candidate(corpus, cands, rubric, options, judge, shots=shots)
         all_cards.extend(result.scorecards)
         failures.extend(result.failures)
 
@@ -292,7 +284,7 @@ def cmd_ruler(ctx: RunContext) -> int:
     audit = ruler.audit_honorifics(all_cards, corpus)
     write_json(
         ctx.out_dir / "honorifics_audit.json",
-        {"fingerprint": ctx.fingerprint, **audit.to_dict()},
+        {"fingerprint": ctx.fingerprint, **asdict(audit)},
     )
     ctx.write_summary("ruler", judge, total, failures)
     return 0
@@ -317,12 +309,9 @@ def cmd_verse_gen(ctx: RunContext) -> int:
         try:
             return verse.generate_questions(pair, summary, ctx.args.n_questions, judge)
         except EvalError as exc:
-            return ItemFailure(
-                system_id="", story_id=pair.story_id, index=pair.index,
-                stage="verse:gen", error=type(exc).__name__, message=str(exc),
-            )
+            return ItemFailure.of(exc, "verse:gen", pair.story_id, pair.index)
 
-    generated, failures = split_failures(judge.map(work, pairs, ctx.args.jobs))
+    generated, failures = split_failures(judge.map(work, pairs))
     questions = [q for qs in generated for q in qs]
     questions.sort(key=lambda q: (q.story_id, q.index, q.question_id))
     write_artifact(
@@ -355,13 +344,11 @@ def cmd_verse_classify(ctx: RunContext) -> int:
             q.category = verse.classify_question(q, judge)
             return q
         except EvalError as exc:
-            return ItemFailure(
-                system_id="", story_id=q.story_id, index=q.index,
-                stage="verse:classify", error=type(exc).__name__,
-                message=f"{q.question_id}: {exc}",
+            return ItemFailure.of(
+                exc, "verse:classify", q.story_id, q.index, question_id=q.question_id
             )
 
-    _, failures = split_failures(judge.map(work, questions, ctx.args.jobs))
+    _, failures = split_failures(judge.map(work, questions))
     # a question that failed keeps category null, so a rerun retries only it
     meta = meta or ctx.meta(judge)
     write_artifact(path, meta, [verse.question_to_record(q) for q in questions])
@@ -408,13 +395,11 @@ def cmd_verse_grade(ctx: RunContext) -> int:
                 summary=corpus.story(q.story_id).summary,
             )
         except EvalError as exc:
-            return ItemFailure(
-                system_id=cands.system_id, story_id=q.story_id, index=q.index,
-                stage="verse:grade", error=type(exc).__name__,
-                message=f"{q.question_id}: {exc}",
+            return ItemFailure.of(
+                exc, "verse:grade", q.story_id, q.index, cands.system_id, q.question_id
             )
 
-    grades, failures = split_failures(judge.map(work, jobs, ctx.args.jobs))
+    grades, failures = split_failures(judge.map(work, jobs))
     grades.sort(key=lambda g: (g.system_id, g.question_id))
     options_fp = options.fingerprint()
     write_artifact(
@@ -472,7 +457,7 @@ def cmd_agree(ctx: RunContext) -> int:
             "fingerprint": ctx.fingerprint,
             "channel": channel,
             "level": level,
-            "inter_annotator": agreement.to_dict(),
+            "inter_annotator": asdict(agreement),
         }
         classification = metrics.classify_pairs(pairs, label_set)
         payload["classification"] = {
@@ -575,7 +560,7 @@ def cmd_report(ctx: RunContext) -> int:
             series.append((system, values))
         if series:
             svg = report.radar_svg(list(verse.CATEGORIES), series, axis_min=axis_min)
-            (ctx.out_dir / "radar_scores.svg").write_bytes(svg)
+            corpus_mod.write_atomic(ctx.out_dir / "radar_scores.svg", svg)
     if questions:
         share_series = []
         for story_id in sorted({q.story_id for q in questions}):
@@ -585,7 +570,7 @@ def cmd_report(ctx: RunContext) -> int:
                 (story_id, [aggregates[c].question_share for c in verse.CATEGORIES])
             )
         svg = report.radar_svg(list(verse.CATEGORIES), share_series, axis_min=0.0)
-        (ctx.out_dir / "radar_question_shares.svg").write_bytes(svg)
+        corpus_mod.write_atomic(ctx.out_dir / "radar_question_shares.svg", svg)
     if ctx.args.radar_per_story and grades:
         for story_id in sorted({q.story_id for q in questions}):
             story_questions = [q for q in questions if q.story_id == story_id]
@@ -615,7 +600,7 @@ def cmd_report(ctx: RunContext) -> int:
             if series:
                 svg = report.radar_svg(list(verse.CATEGORIES), series, axis_min=axis_min)
                 name = f"radar_scores_{_sanitize(story_id)}.svg"
-                (ctx.out_dir / name).write_bytes(svg)
+                corpus_mod.write_atomic(ctx.out_dir / name, svg)
 
     notes = {
         "n_scorecards": len(scorecards),
@@ -652,8 +637,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-reference", action="store_true", help="omit the reference block")
     parser.add_argument("--reference-index", type=int, default=0)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--jobs", type=int, help="threads that wait on a live backend "
-                        "(default: 4); cache hits and mock answers run in the calling thread")
+    parser.add_argument("--jobs", type=int, default=4, help="threads that wait on a live "
+                        "backend (default: 4, at least 1); cache hits and mock answers run "
+                        "in the calling thread")
     parser.add_argument("--out", default="out", help="output root directory")
     parser.add_argument("--run-id", help="default: config fingerprint prefix")
     parser.add_argument("--cache-dir", help="judge cache (default: <out>/judge_cache)")
@@ -755,6 +741,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         _apply_config_file(argv, parser, leaves)
         args = parser.parse_args(argv)
+        if not isinstance(args.jobs, int) or args.jobs < 1:
+            parser.error(f"--jobs must be an integer >= 1, got {args.jobs!r}")
         ctx = RunContext(args)
         if args.command == "verse":
             handler = VERSE_COMMANDS[args.verse_command]

@@ -13,6 +13,8 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Iterator
@@ -167,14 +169,34 @@ def read_jsonl(path: Path | str) -> Iterator[tuple[int, dict]]:
             yield lineno, record
 
 
-def write_jsonl(path: Path | str, records: Iterable[dict]) -> None:
+def write_atomic(path: Path | str, data: str | bytes, mode: int = 0o666) -> None:
+    """Replace `path` with `data` through a temporary file and a rename, so no
+    reader ever sees a partial file.
+
+    A new file gets `mode` less the umask.  Each process and thread writes its
+    own temporary file, so concurrent writers of one path never interfere.
+    """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("w", encoding="utf-8") as f:
-        for record in records:
-            f.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
-    tmp.replace(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
+    try:
+        fd = os.open(tmp, flags, mode)
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(tmp, flags, mode)
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(data.encode("utf-8") if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_jsonl(path: Path | str, records: Iterable[dict]) -> None:
+    write_atomic(path, "".join(
+        json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n" for record in records
+    ))
 
 
 def _require(record: dict, key: str, where: str) -> Any:
@@ -413,22 +435,6 @@ class SampleManifest:
 
     def keys(self) -> list[tuple[str, int]]:
         return [(it.story_id, it.index) for it in self.items]
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "n_per_story": self.n_per_story,
-            "q_per_item": self.q_per_item,
-            "items": [
-                {
-                    "story_id": it.story_id,
-                    "index": it.index,
-                    "system_id": it.system_id,
-                    "question_ids": list(it.question_ids),
-                }
-                for it in self.items
-            ],
-        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "SampleManifest":

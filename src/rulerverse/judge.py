@@ -12,14 +12,14 @@ import json
 import logging
 import os
 import re
-import tempfile
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
+from .corpus import write_atomic
 from .errors import (BackendResponseError, CorpusFormatError, EmptyCompletion, MockScriptMiss,
                      TransportExhausted)
 
@@ -27,14 +27,26 @@ log = logging.getLogger(__name__)
 
 BACKENDS = ("live", "mock")
 
+# A request temperature that sends none, so the backend samples at its own default.
+BACKEND_DEFAULT = "backend-default"
+
 
 @dataclass(frozen=True)
 class JudgeRequest:
     system_text: str
     user_text: str
     # None defers to the config temperature; the config itself may be None,
-    # which means "let the backend use its own default".
-    temperature: float | None = None
+    # which also means BACKEND_DEFAULT.
+    temperature: float | str | None = None
+
+    @classmethod
+    def render(
+        cls, system_text: str, sections: Iterable[tuple[str, str]],
+        temperature: float | str | None = None,
+    ) -> "JudgeRequest":
+        """A request whose user text is the `### name` sections, blank-line separated."""
+        user_text = "\n\n".join(f"### {name}\n{body}" for name, body in sections)
+        return cls(system_text, user_text, temperature)
 
 
 @dataclass(frozen=True)
@@ -160,6 +172,8 @@ class Judge:
         self.config = config
         self._stats = JudgeStats()
         self._lock = threading.Lock()
+        # cache key -> set when the one backend call for that key has ended
+        self._flights: dict[str, threading.Event] = {}
         self._sem = threading.Semaphore(config.concurrency_limit)
         self._inline = _Inline()
         self._script: MockScript | None = None
@@ -170,26 +184,14 @@ class Judge:
         if config.cache_dir is not None:
             Path(config.cache_dir).mkdir(parents=True, exist_ok=True)
 
-    # Shared mutable state (counters, semaphore, inline state, script) is kept so a
-    # derived judge still reports into the same run statistics.
-    def with_temperature(self, temperature: float | None) -> "Judge":
-        clone = object.__new__(type(self))
-        clone.config = replace(self.config, temperature=temperature)
-        clone._stats = self._stats
-        clone._lock = self._lock
-        clone._sem = self._sem
-        clone._inline = self._inline
-        clone._script = self._script
-        return clone
-
-    def map(self, work: Callable[[Any], Any], items: Sequence, jobs: int | None = None) -> list:
+    def map(self, work: Callable[[Any], Any], items: Sequence) -> list:
         """`work(item)` for every item, outcomes in input order.
 
         Each item first runs in the calling thread, where cache hits and mock
         answers are served at once.  An item that misses the cache of a live
-        backend is handed to a pool of at most `jobs` threads (default: the
-        concurrency limit), created at the first such item, and reruns there
-        from its start while the scan goes on.
+        backend is handed to a pool of `concurrency_limit` threads, created at
+        the first such item, and reruns there from its start while the scan
+        goes on.
         """
         outcomes: list[Any] = []
         pool: ThreadPoolExecutor | None = None
@@ -204,7 +206,7 @@ class Judge:
                     with self._lock:
                         self._stats.cache_hits -= inline.hits
                     if pool is None:
-                        pool = ThreadPoolExecutor(max_workers=jobs or self.config.concurrency_limit)
+                        pool = ThreadPoolExecutor(max_workers=self.config.concurrency_limit)
                     outcomes.append(pool.submit(work, item))
                 finally:
                     inline.active = False
@@ -219,37 +221,64 @@ class Judge:
             return {"backend_calls": self._stats.backend_calls, "cache_hits": self._stats.cache_hits}
 
     def complete(self, request: JudgeRequest) -> JudgeResponse:
-        temperature = (
-            request.temperature if request.temperature is not None else self.config.temperature
-        )
+        """The completion for `request`, from the cache or else the backend.
+
+        Single flight: while one thread calls the backend for a cache key,
+        other threads that miss the same key wait for it and then read its
+        answer from the cache, as a hit.  If it failed, one of them calls the
+        backend in turn.  Without a cache every caller calls the backend.
+        """
+        temperature = request.temperature
+        if temperature is None:
+            temperature = self.config.temperature
+        elif temperature == BACKEND_DEFAULT:
+            temperature = None
         key = cache_key(self.config.model_id, temperature, request.system_text, request.user_text)
+        flight: threading.Event | None = None
+        try:
+            while True:
+                cached_text = self._cache_read(key)
+                if cached_text is not None:
+                    with self._lock:
+                        self._stats.cache_hits += 1
+                    self._inline.hits += 1
+                    return JudgeResponse(
+                        text=cached_text, cached=True, backend_id=self.config.model_id,
+                        latency=0.0,
+                    )
+                if self._script is None and self._inline.active:
+                    raise _NeedsBackend
+                # a new flight reads the cache once more after it is registered:
+                # a flight that ended just before has written its answer by then
+                if flight is not None or self.config.cache_dir is None:
+                    break
+                with self._lock:
+                    leader = self._flights.get(key)
+                    if leader is None:
+                        flight = self._flights[key] = threading.Event()
+                if leader is not None:
+                    leader.wait()
 
-        cached_text = self._cache_read(key)
-        if cached_text is not None:
+            start = time.monotonic()
+            if self._script is not None:
+                text = self._script.respond(request.system_text, request.user_text)
+            else:
+                text = self._live_complete(request.system_text, request.user_text, temperature)
+            latency = time.monotonic() - start
             with self._lock:
-                self._stats.cache_hits += 1
-            self._inline.hits += 1
+                self._stats.backend_calls += 1
+            if not text.strip():
+                raise EmptyCompletion("backend returned an empty completion")
+
+            self._cache_write(key, request, temperature, text)
             return JudgeResponse(
-                text=cached_text, cached=True, backend_id=self.config.model_id, latency=0.0
+                text=text, cached=False, backend_id=self.config.model_id, latency=latency
             )
-        if self._script is None and self._inline.active:
-            raise _NeedsBackend
-
-        start = time.monotonic()
-        if self._script is not None:
-            text = self._script.respond(request.system_text, request.user_text)
-        else:
-            text = self._live_complete(request.system_text, request.user_text, temperature)
-        latency = time.monotonic() - start
-        with self._lock:
-            self._stats.backend_calls += 1
-        if not text.strip():
-            raise EmptyCompletion("backend returned an empty completion")
-
-        self._cache_write(key, request, temperature, text)
-        return JudgeResponse(
-            text=text, cached=False, backend_id=self.config.model_id, latency=latency
-        )
+        finally:
+            if flight is not None:
+                with self._lock:
+                    del self._flights[key]
+                flight.set()
 
     # -- cache --
 
@@ -282,17 +311,8 @@ class Judge:
             },
             "response": {"text": text},
         }
-        # write-temp-then-rename: concurrent writers of the same key are
-        # benign because the value is identical
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as f:
-                json.dump(entry, f, ensure_ascii=False, sort_keys=True)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        # entries hold full prompts and answers: readable by their owner only
+        write_atomic(path, json.dumps(entry, ensure_ascii=False, sort_keys=True), mode=0o600)
 
     # -- live transport --
 

@@ -30,7 +30,7 @@ class RatingVector:
 
     `ids` must be unique.  A None score marks an item the rater skipped; the
     paired statistics below require fully observed, identically ordered
-    vectors, so use `common_items` (or `pairwise_agreement`) to align raters
+    vectors, so use `common_items` (or `rater_pairs`) to align raters
     first.
     """
 
@@ -387,18 +387,6 @@ def mean_over_pairs(pairs: Iterable[AlignedPair], metric: PairedMetric) -> Pairw
     return PairwiseResult(pairs=results, mean=mean, n_skipped=len(results) - len(defined))
 
 
-def pairwise_agreement(raters: Sequence[RatingVector], metric: PairedMetric) -> PairwiseResult:
-    """Mean of a paired metric over all unordered rater pairs on common items."""
-    return mean_over_pairs(rater_pairs(raters), metric)
-
-
-def cross_pairwise_agreement(
-    group_a: Sequence[RatingVector], group_b: Sequence[RatingVector], metric: PairedMetric
-) -> PairwiseResult:
-    """Mean of a paired metric over every (a, b) pair across two rater groups."""
-    return mean_over_pairs(rater_pairs(group_a, group_b), metric)
-
-
 @dataclass
 class AgreementReport:
     """tau / rho / MSE are pairwise means; alpha is joint over all raters."""
@@ -410,17 +398,6 @@ class AgreementReport:
     n_items: int
     n_raters: int
     skipped_pairs: dict[str, int] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "tau": self.tau,
-            "rho": self.rho,
-            "mse": self.mse,
-            "alpha": self.alpha,
-            "n_items": self.n_items,
-            "n_raters": self.n_raters,
-            "skipped_pairs": dict(self.skipped_pairs),
-        }
 
 
 def rating_matrix(raters: Sequence[RatingVector]) -> list[list[Number | None]]:
@@ -482,10 +459,3 @@ def classify_pairs(pairs: Iterable[AlignedPair], label_set: Sequence) -> Pairwis
     return PairwiseClassification(
         per_pair=per_pair, mean_per_label_f1=mean_f1, mean_accuracy=mean_acc
     )
-
-
-def pairwise_classification(
-    raters: Sequence[RatingVector], label_set: Sequence
-) -> PairwiseClassification:
-    """Per-label F1 and accuracy averaged over all unordered rater pairs."""
-    return classify_pairs(rater_pairs(raters), label_set)

@@ -11,7 +11,7 @@ import hashlib
 import json
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from importlib import resources
 from pathlib import Path
@@ -121,16 +121,7 @@ class PromptOptions:
             raise ValueError("reference_index must be >= 0")
 
     def fingerprint(self) -> str:
-        payload = json.dumps(
-            {
-                "use_cot": self.use_cot,
-                "k_shot": self.k_shot,
-                "include_reference": self.include_reference,
-                "include_rubric": self.include_rubric,
-                "reference_index": self.reference_index,
-            },
-            sort_keys=True,
-        )
+        payload = json.dumps(asdict(self), sort_keys=True)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
 
 
@@ -171,8 +162,6 @@ def load_example_bank(path: Path | str) -> list[ScoredExample]:
 
 
 SYSTEM_TEXT = "You are an expert evaluator of literary translation quality."
-
-_SECTION_SEP = "\n\n"
 
 
 def _format_shot(example: ScoredExample) -> str:
@@ -261,11 +250,9 @@ def build_ruler_prompt(
     options: PromptOptions,
     shots: Sequence[ScoredExample] = (),
 ) -> JudgeRequest:
-    sections = ruler_prompt_sections(
+    return JudgeRequest.render(SYSTEM_TEXT, ruler_prompt_sections(
         criterion, pair, candidate_text, rubric, summary, options, shots
-    )
-    user_text = _SECTION_SEP.join(f"### {name}\n{body}" for name, body in sections)
-    return JudgeRequest(system_text=SYSTEM_TEXT, user_text=user_text)
+    ))
 
 
 _SCORE_LINE = re.compile(r"^\s*Score:\s*([+-]?\d+)\s*$", re.MULTILINE)
@@ -310,15 +297,14 @@ class ItemFailure:
     error: str
     message: str
 
-    def to_dict(self) -> dict:
-        return {
-            "system_id": self.system_id,
-            "story_id": self.story_id,
-            "index": self.index,
-            "stage": self.stage,
-            "error": self.error,
-            "message": self.message,
-        }
+    @classmethod
+    def of(
+        cls, exc: Exception, stage: str, story_id: str, index: int,
+        system_id: str = "", question_id: str = "",
+    ) -> "ItemFailure":
+        """The record of an item that failed with `exc`."""
+        message = f"{question_id}: {exc}" if question_id else str(exc)
+        return cls(system_id, story_id, index, stage, type(exc).__name__, message)
 
 
 def split_failures(outcomes: Sequence) -> tuple[list, list[ItemFailure]]:
@@ -339,48 +325,6 @@ def _strip_score_line(text: str) -> str:
     return "\n".join(kept).strip()
 
 
-def _score_one(
-    pair: ParagraphPair,
-    candidate_text: str,
-    system_id: str,
-    rubric: RubricSet,
-    summary: str,
-    options: PromptOptions,
-    judge: Judge,
-    shots: Sequence[ScoredExample],
-) -> RubricScorecard | ItemFailure:
-    scores: dict[Criterion, int] = {}
-    rationales: dict[Criterion, str] = {}
-    raw: dict[Criterion, str] = {}
-    for criterion in CRITERIA:
-        try:
-            request = build_ruler_prompt(
-                criterion, pair, candidate_text, rubric, summary, options, shots
-            )
-            response = judge.complete(request)
-            scores[criterion] = parse_likert_score(response.text)
-            raw[criterion] = response.text
-            if options.use_cot:
-                rationales[criterion] = _strip_score_line(response.text)
-        except EvalError as exc:
-            return ItemFailure(
-                system_id=system_id,
-                story_id=pair.story_id,
-                index=pair.index,
-                stage=f"ruler:{criterion.value}",
-                error=type(exc).__name__,
-                message=str(exc),
-            )
-    return RubricScorecard(
-        system_id=system_id,
-        story_id=pair.story_id,
-        index=pair.index,
-        scores=scores,
-        rationales=rationales,
-        raw_responses=raw,
-    )
-
-
 def score_candidate(
     corpus: Corpus,
     candidates: CandidateSet,
@@ -388,7 +332,6 @@ def score_candidate(
     options: PromptOptions,
     judge: Judge,
     shots: Sequence[ScoredExample] = (),
-    jobs: int | None = None,
 ) -> RulerRunResult:
     """Score every covered paragraph on all four criteria.
 
@@ -396,20 +339,38 @@ def score_candidate(
     back in corpus order regardless of worker completion order.
     """
     pairs = [p for p in corpus.pairs() if (p.story_id, p.index) in candidates.translations]
+    system_id = candidates.system_id
 
     def work(pair: ParagraphPair) -> RubricScorecard | ItemFailure:
-        return _score_one(
-            pair,
-            candidates.translations[(pair.story_id, pair.index)],
-            candidates.system_id,
-            rubric,
-            corpus.story(pair.story_id).summary,
-            options,
-            judge,
-            shots,
+        candidate_text = candidates.translations[(pair.story_id, pair.index)]
+        summary = corpus.story(pair.story_id).summary
+        scores: dict[Criterion, int] = {}
+        rationales: dict[Criterion, str] = {}
+        raw: dict[Criterion, str] = {}
+        for criterion in CRITERIA:
+            try:
+                request = build_ruler_prompt(
+                    criterion, pair, candidate_text, rubric, summary, options, shots
+                )
+                response = judge.complete(request)
+                scores[criterion] = parse_likert_score(response.text)
+                raw[criterion] = response.text
+                if options.use_cot:
+                    rationales[criterion] = _strip_score_line(response.text)
+            except EvalError as exc:
+                return ItemFailure.of(
+                    exc, f"ruler:{criterion.value}", pair.story_id, pair.index, system_id
+                )
+        return RubricScorecard(
+            system_id=system_id,
+            story_id=pair.story_id,
+            index=pair.index,
+            scores=scores,
+            rationales=rationales,
+            raw_responses=raw,
         )
 
-    result = RulerRunResult(*split_failures(judge.map(work, pairs, jobs)))
+    result = RulerRunResult(*split_failures(judge.map(work, pairs)))
     if result.failures:
         log.warning("ruler run: %d of %d items failed", len(result.failures), len(pairs))
     return result
@@ -423,14 +384,6 @@ class HonorificsAudit:
     compliant: int
     untagged: int
     violations: list[dict]
-
-    def to_dict(self) -> dict:
-        return {
-            "checked": self.checked,
-            "compliant": self.compliant,
-            "untagged": self.untagged,
-            "violations": list(self.violations),
-        }
 
 
 def audit_honorifics(scorecards: Iterable[RubricScorecard], corpus: Corpus) -> HonorificsAudit:

@@ -1,9 +1,10 @@
 """Candidate generation with few-shot plus story-summary prompting.
 
-Translation runs at the backend's own default temperature rather than the
-evaluation default of 0.0, and example pairs never come from the story being
-translated.  Sentence granularity exists only to diversify outputs; paragraph
-mode is the normal path.
+Translation requests carry the `BACKEND_DEFAULT` temperature, so the backend
+samples at its own default rather than at the evaluation default of 0.0, and
+example pairs never come from the story being translated.  Sentence
+granularity exists only to diversify outputs; paragraph mode is the normal
+path.
 """
 from __future__ import annotations
 
@@ -11,11 +12,11 @@ import hashlib
 import json
 import logging
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .corpus import CandidateSet, Corpus, ParagraphPair
 from .errors import EvalError, InsufficientBank
-from .judge import Judge, JudgeRequest
+from .judge import BACKEND_DEFAULT, Judge, JudgeRequest
 from .ruler import ItemFailure, split_failures
 
 log = logging.getLogger(__name__)
@@ -42,16 +43,7 @@ class TranslationPromptSpec:
             raise ValueError(f"granularity must be one of {GRANULARITIES}")
 
     def fingerprint(self) -> str:
-        payload = json.dumps(
-            {
-                "n_shots": self.n_shots,
-                "include_summary": self.include_summary,
-                "granularity": self.granularity,
-                "bank_story_ids": list(self.bank_story_ids),
-                "require_dialogue_mix": self.require_dialogue_mix,
-            },
-            sort_keys=True,
-        )
+        payload = json.dumps(asdict(self), sort_keys=True)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
 
 
@@ -108,8 +100,7 @@ def build_translation_prompt(
         ]
         sections.append(("Examples", "\n\n".join(blocks)))
     sections.append(("Source passage", source_text))
-    user_text = "\n\n".join(f"### {name}\n{body}" for name, body in sections)
-    return JudgeRequest(system_text=SYSTEM_TEXT, user_text=user_text)
+    return JudgeRequest.render(SYSTEM_TEXT, sections, temperature=BACKEND_DEFAULT)
 
 
 _SENTENCE_END = re.compile(r"(?<=[.!?])\s+")
@@ -132,14 +123,8 @@ def translate_corpus(
     spec: TranslationPromptSpec,
     judge: Judge,
     system_id: str | None = None,
-    jobs: int | None = None,
 ) -> TranslateRunResult:
-    """Produce one candidate per paragraph; per-item judge failures are isolated.
-
-    The judge is rebound to temperature=None so the backend applies its own
-    default sampling; evaluation judges keep using 0.0.
-    """
-    translator = judge.with_temperature(None)
+    """Produce one candidate per paragraph; per-item judge failures are isolated."""
     system = system_id or judge.config.model_id
     pairs = list(corpus.pairs())
 
@@ -157,31 +142,24 @@ def translate_corpus(
                     request = build_translation_prompt(
                         sentence, shots, summary, spec.include_summary
                     )
-                    rendered.append(translator.complete(request).text.strip())
+                    rendered.append(judge.complete(request).text.strip())
                 text = " ".join(rendered)
             else:
                 request = build_translation_prompt(
                     pair.source_text, shots, summary, spec.include_summary
                 )
-                text = translator.complete(request).text.strip()
+                text = judge.complete(request).text.strip()
             return (pair.story_id, pair.index), text
         except EvalError as exc:
-            return ItemFailure(
-                system_id=system,
-                story_id=pair.story_id,
-                index=pair.index,
-                stage="translate",
-                error=type(exc).__name__,
-                message=str(exc),
-            )
+            return ItemFailure.of(exc, "translate", pair.story_id, pair.index, system)
 
-    done, failures = split_failures(judge.map(work, pairs, jobs))
+    done, failures = split_failures(judge.map(work, pairs))
     translations = dict(done)
 
     provenance = {
         "model_id": judge.config.model_id,
         "spec_fingerprint": spec.fingerprint(),
-        "temperature": "backend-default",
+        "temperature": BACKEND_DEFAULT,
     }
     candidates = CandidateSet(system_id=system, translations=translations, provenance=provenance)
     if failures:

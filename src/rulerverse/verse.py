@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .corpus import ParagraphPair
@@ -21,7 +21,7 @@ from .errors import (
     UnmappableCategory,
 )
 from .judge import Judge, JudgeRequest
-from .ruler import PromptOptions, parse_score
+from .ruler import SYSTEM_TEXT, PromptOptions, parse_score
 from .scales import VERSE_SCALE, to_percentage
 
 log = logging.getLogger(__name__)
@@ -40,15 +40,6 @@ CATEGORIES: tuple[str, ...] = (
 
 DEFAULT_N_QUESTIONS = 10
 OVERSHOOT_ALLOWANCE = 5
-
-SYSTEM_TEXT = "You are an expert evaluator of literary translation quality."
-
-_SECTION_SEP = "\n\n"
-
-
-def _prompt(sections: list[tuple[str, str]]) -> JudgeRequest:
-    user_text = _SECTION_SEP.join(f"### {name}\n{body}" for name, body in sections)
-    return JudgeRequest(system_text=SYSTEM_TEXT, user_text=user_text)
 
 
 @dataclass
@@ -72,7 +63,8 @@ class VerseGrade:
 # -- generation --
 
 def build_generation_prompt(pair: ParagraphPair, summary: str, n_target: int) -> JudgeRequest:
-    return _prompt(
+    return JudgeRequest.render(
+        SYSTEM_TEXT,
         [
             (
                 "Task",
@@ -160,7 +152,7 @@ def build_classification_prompt(question: VerseQuestion, reprompt_answer: str | 
                 "the list above, verbatim.",
             )
         )
-    return _prompt(sections)
+    return JudgeRequest.render(SYSTEM_TEXT, sections)
 
 
 _CANONICAL = {c.casefold(): c for c in CATEGORIES}
@@ -230,7 +222,7 @@ def build_grading_prompt(
                 "1, 2, or 3. Do not add any other text.",
             )
         )
-    return _prompt(sections)
+    return JudgeRequest.render(SYSTEM_TEXT, sections)
 
 
 def grade_question(
@@ -312,13 +304,7 @@ def aggregate_categories(
 # -- record (de)serialization --
 
 def question_to_record(q: VerseQuestion) -> dict:
-    return {
-        "question_id": q.question_id,
-        "story_id": q.story_id,
-        "index": q.index,
-        "text": q.text,
-        "category": q.category,
-    }
+    return asdict(q)
 
 
 def question_from_record(record: dict) -> VerseQuestion:

@@ -329,6 +329,25 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     assert out["candidates"] == {"beta": 1.0}
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_rejected(tmp_path, capsys, jobs):
+    with pytest.raises(SystemExit) as exc:
+        main(["ruler"] + common_flags(tmp_path) + ["--jobs", jobs])
+    assert exc.value.code == 2
+    assert f"--jobs must be an integer >= 1, got {jobs}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_jobs_below_one_in_config_rejected(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"jobs": 0}), encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["ruler", "--config", str(config_path)] + common_flags(tmp_path))
+    assert exc.value.code == 2
+    assert "--jobs must be an integer >= 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_file_unknown_key_rejected(tmp_path, capsys):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"corpsu": "typo"}), encoding="utf-8")

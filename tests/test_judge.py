@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 import threading
+import time
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -19,6 +21,7 @@ from rulerverse.errors import (
     TransportExhausted,
 )
 from rulerverse.judge import (
+    BACKEND_DEFAULT,
     Judge,
     JudgeConfig,
     JudgeRequest,
@@ -138,13 +141,13 @@ def test_corrupt_cache_entry_is_a_miss(tmp_path):
     assert got.text == "Score: 5"
 
 
-def test_with_temperature_shares_counters(tmp_path):
+def test_backend_default_temperature_shares_counters(tmp_path):
     judge = make_judge(tmp_path, script=SCRIPT)
-    derived = judge.with_temperature(None)
-    derived.complete(JudgeRequest("s", "rate the honorifics"))
+    judge.complete(JudgeRequest("s", "rate the honorifics", temperature=BACKEND_DEFAULT))
     assert judge.stats["backend_calls"] == 1
-    assert derived.config.temperature is None
     assert judge.config.temperature == 0.0
+    key = cache_key("mock-judge", None, "s", "rate the honorifics")
+    assert (tmp_path / "cache" / f"{key}.json").exists()
 
 
 def test_mock_script_miss_without_default(tmp_path):
@@ -220,7 +223,7 @@ def test_live_payload_omits_temperature_for_backend_default(tmp_path):
             return "ok"
 
     judge = Probe(_live_config(tmp_path))
-    judge.with_temperature(None).complete(JudgeRequest("s", "u"))
+    judge.complete(JudgeRequest("s", "u", temperature=BACKEND_DEFAULT))
     assert "temperature" not in seen
     seen.clear()
     judge.complete(JudgeRequest("s", "u2"))
@@ -393,7 +396,7 @@ def test_map_keeps_input_order_and_answers_mock_inline(tmp_path):
         threads.append(threading.get_ident())
         return judge.complete(JudgeRequest("s", f"item {i}")).text + f" #{i}"
 
-    assert judge.map(work, range(30), jobs=4) == [f"Score: 3 #{i}" for i in range(30)]
+    assert judge.map(work, range(30)) == [f"Score: 3 #{i}" for i in range(30)]
     assert set(threads) == {caller}
 
 
@@ -439,7 +442,7 @@ def test_live_runner_sends_only_misses_to_workers(tmp_path, fixture_corpus):
         filler.complete(prompt(pairs[5], criterion))
 
     judge = _ScriptedLive(_live_config(tmp_path))
-    result = score_candidate(fixture_corpus, cands, rubric, options, judge, jobs=4)
+    result = score_candidate(fixture_corpus, cands, rubric, options, judge)
     expected = score_candidate(fixture_corpus, cands, rubric, options, make_judge(tmp_path / "ref"))
 
     caller = threading.get_ident()
@@ -471,7 +474,7 @@ def test_map_counts_each_call_once_under_thread_switching(tmp_path):
     filler = make_judge(tmp_path, script={"rules": [], "default": "ok"}, model_id="m")
     for p in cached:
         filler.complete(JudgeRequest("s", p))
-    judge = Live(_live_config(tmp_path))
+    judge = Live(replace(_live_config(tmp_path), concurrency_limit=8))
 
     def work(item):
         return [judge.complete(JudgeRequest("s", p)).text for p in item]
@@ -480,7 +483,7 @@ def test_map_counts_each_call_once_under_thread_switching(tmp_path):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        runner = threading.Thread(target=lambda: result.append(judge.map(work, prompts, jobs=8)))
+        runner = threading.Thread(target=lambda: result.append(judge.map(work, prompts)))
         runner.start()
         runner.join(timeout=60)
     finally:
@@ -489,3 +492,74 @@ def test_map_counts_each_call_once_under_thread_switching(tmp_path):
     assert result == [[["ok"] * 3] * 150]
     assert sorted(posts) == sorted(p for item in prompts for p in item if p not in cached)
     assert judge.stats == {"backend_calls": len(posts), "cache_hits": len(cached)}
+
+
+# -- single flight per cache key --
+
+def test_one_post_for_many_items_with_one_prompt(tmp_path):
+    class Live(Judge):
+        def _post(self, payload):
+            with lock:
+                posts.append(threading.get_ident())
+            return "Score: 4"
+
+    lock, posts = threading.Lock(), []
+    judge = Live(replace(_live_config(tmp_path), concurrency_limit=8))
+    result = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=lambda: result.append(
+            judge.map(lambda i: judge.complete(JudgeRequest("s", "same")).text, range(64))
+        ))
+        runner.start()
+        runner.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert result == [["Score: 4"] * 64]
+    assert len(posts) == 1
+    assert judge.stats == {"backend_calls": 1, "cache_hits": 63}
+
+
+def test_a_failed_leader_lets_the_waiter_post(tmp_path):
+    class Live(Judge):
+        def _post(self, payload):
+            posts.append(threading.current_thread().name)
+            if len(posts) == 1:
+                in_post.set()
+                release.wait(timeout=10)
+                raise ConnectionError("leader lost")
+            return "Score: 2"
+
+        def _cache_read(self, key):
+            if threading.current_thread().name == "waiter":
+                waiter_missed.set()
+            return super()._cache_read(key)
+
+    posts = []
+    in_post, release, waiter_missed = threading.Event(), threading.Event(), threading.Event()
+    judge = Live(_live_config(tmp_path, retries=0))
+    outcomes = {}
+
+    def call():
+        try:
+            outcomes[threading.current_thread().name] = judge.complete(JudgeRequest("s", "u")).text
+        except TransportExhausted as exc:
+            outcomes[threading.current_thread().name] = exc
+
+    leader = threading.Thread(target=call, name="leader")
+    leader.start()
+    assert in_post.wait(timeout=10)
+    waiter = threading.Thread(target=call, name="waiter")
+    waiter.start()
+    assert waiter_missed.wait(timeout=10)
+    time.sleep(0.05)
+    assert posts == ["leader"]  # the waiter does not post while the leader's call is open
+    release.set()
+    leader.join(timeout=10)
+    waiter.join(timeout=10)
+    assert isinstance(outcomes["leader"], TransportExhausted)
+    assert outcomes["waiter"] == "Score: 2"
+    assert posts == ["leader", "waiter"]
+    assert judge.stats == {"backend_calls": 1, "cache_hits": 0}

@@ -18,14 +18,14 @@ from rulerverse.errors import (
 )
 from rulerverse.metrics import (
     RatingVector,
+    classify_pairs,
     compute_agreement,
-    cross_pairwise_agreement,
     kendall_tau_b,
     krippendorff_alpha,
+    mean_over_pairs,
     mse,
-    pairwise_agreement,
-    pairwise_classification,
     per_label_prf,
+    rater_pairs,
     rating_matrix,
     spearman_rho,
 )
@@ -243,7 +243,7 @@ def _vec(rater, ids, scores):
 
 def test_pairwise_identity_raters():
     raters = [_vec(r, "abcd", [1, 2, 3, 4]) for r in ("r1", "r2", "r3")]
-    result = pairwise_agreement(raters, kendall_tau_b)
+    result = mean_over_pairs(rater_pairs(raters), kendall_tau_b)
     assert len(result.pairs) == 3
     assert result.mean == pytest.approx(1.0)
 
@@ -253,7 +253,7 @@ def test_pairwise_mean_hand_checked():
     r1 = _vec("r1", "abcd", [1, 2, 3, 4])
     r2 = _vec("r2", "abcd", [2, 3, 4, 5])
     r3 = _vec("r3", "abcd", [1, 3, 2, 4])
-    result = pairwise_agreement([r1, r2, r3], kendall_tau_b)
+    result = mean_over_pairs(rater_pairs([r1, r2, r3]), kendall_tau_b)
     values = {(p.rater_a, p.rater_b): p.value for p in result.pairs}
     assert values[("r1", "r2")] == pytest.approx(1.0)
     assert values[("r1", "r3")] == pytest.approx(2 / 3, abs=APPROX)
@@ -264,7 +264,7 @@ def test_pairwise_mean_hand_checked():
 def test_pairwise_common_item_alignment_with_missing():
     r1 = _vec("r1", "abc", [1, 2, None])
     r2 = _vec("r2", "abc", [1, 2, 3])
-    result = pairwise_agreement([r1, r2], mse)
+    result = mean_over_pairs(rater_pairs([r1, r2]), mse)
     assert result.pairs[0].n_common == 2
     assert result.pairs[0].value == 0.0
 
@@ -273,13 +273,13 @@ def test_pairwise_no_common_items_raises():
     r1 = _vec("r1", "ab", [1, 2])
     r2 = _vec("r2", "cd", [1, 2])
     with pytest.raises(NoCommonItems):
-        pairwise_agreement([r1, r2], mse)
+        mean_over_pairs(rater_pairs([r1, r2]), mse)
 
 
 def test_cross_pairwise_counts_three_pairs():
     humans = [_vec(r, "abcd", [1, 2, 3, 4]) for r in ("h1", "h2", "h3")]
     model = [_vec("model", "abcd", [1, 2, 4, 3])]
-    result = cross_pairwise_agreement(humans, model, spearman_rho)
+    result = mean_over_pairs(rater_pairs(humans, model), spearman_rho)
     assert len(result.pairs) == 3
     assert all(p.rater_b == "model" for p in result.pairs)
 
@@ -303,7 +303,7 @@ def test_pairwise_classification_mean_f1():
         _vec("r2", "abcd", [1, 1, 2, 2]),
         _vec("r3", "abcd", [1, 2, 2, 2]),
     ]
-    result = pairwise_classification(raters, label_set=[1, 2])
+    result = classify_pairs(rater_pairs(raters), label_set=[1, 2])
     assert len(result.per_pair) == 3
     assert result.mean_accuracy == pytest.approx((1.0 + 0.75 + 0.75) / 3)
 

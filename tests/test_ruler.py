@@ -288,11 +288,9 @@ def test_score_candidate_failure_isolation(tmp_path, fixture_corpus):
 
 
 def test_score_candidate_preserves_corpus_order(tmp_path, fixture_corpus):
-    judge = make_judge(tmp_path, script={"rules": [], "default": "Score: 3"})
+    judge = make_judge(tmp_path, script={"rules": [], "default": "Score: 3"}, concurrency_limit=4)
     cands = load_candidates(FIXTURES / "candidates_alpha.jsonl", fixture_corpus)
-    result = score_candidate(
-        fixture_corpus, cands, bundled_rubric(), PromptOptions(), judge, jobs=4
-    )
+    result = score_candidate(fixture_corpus, cands, bundled_rubric(), PromptOptions(), judge)
     keys = [(c.story_id, c.index) for c in result.scorecards]
     assert keys == [(p.story_id, p.index) for p in fixture_corpus.pairs()]
 
