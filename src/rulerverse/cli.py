@@ -741,8 +741,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         _apply_config_file(argv, parser, leaves)
         args = parser.parse_args(argv)
-        if not isinstance(args.jobs, int) or args.jobs < 1:
-            parser.error(f"--jobs must be an integer >= 1, got {args.jobs!r}")
+        for name, low in ("jobs", 1), ("max_retries", 0), ("reference_index", 0), ("n_questions", 1):
+            value, flag = getattr(args, name, low), "--" + name.replace("_", "-")
+            if not isinstance(value, int) or value < low:
+                parser.error(f"{flag} must be an integer >= {low}, got {value!r}")
         ctx = RunContext(args)
         if args.command == "verse":
             handler = VERSE_COMMANDS[args.verse_command]

@@ -169,21 +169,21 @@ def read_jsonl(path: Path | str) -> Iterator[tuple[int, dict]]:
             yield lineno, record
 
 
-def write_atomic(path: Path | str, data: str | bytes, mode: int = 0o666) -> None:
+def write_atomic(path: Path | str, data: str | bytes) -> None:
     """Replace `path` with `data` through a temporary file and a rename, so no
     reader ever sees a partial file.
 
-    A new file gets `mode` less the umask.  Each process and thread writes its
-    own temporary file, so concurrent writers of one path never interfere.
+    A new file gets mode 0o666 less the umask.  Each process and thread writes
+    its own temporary file, so concurrent writers of one path never interfere.
     """
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
     try:
-        fd = os.open(tmp, flags, mode)
+        fd = os.open(tmp, flags, 0o666)
     except FileNotFoundError:
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd = os.open(tmp, flags, mode)
+        fd = os.open(tmp, flags, 0o666)
     try:
         with os.fdopen(fd, "wb") as f:
             f.write(data.encode("utf-8") if isinstance(data, str) else data)

@@ -1,8 +1,9 @@
 """Chat-completion client: live HTTP backend, scripted mock, on-disk cache.
 
 This is the only module that performs network I/O or starts threads.  Responses
-are cached by a stable hash of (model_id, temperature, system_text, user_text);
-cache entries store the full request next to the response so a run can be
+are cached by a stable hash of (model_id, temperature, system_text, user_text),
+plus the script's sha256 for the mock, in one append-only file per cache
+directory; entries store the full request next to the response so a run can be
 audited later, and nothing is ever evicted automatically.
 """
 from __future__ import annotations
@@ -14,12 +15,12 @@ import os
 import re
 import threading
 import time
+import weakref
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
-from .corpus import write_atomic
 from .errors import (BackendResponseError, CorpusFormatError, EmptyCompletion, MockScriptMiss,
                      TransportExhausted)
 
@@ -53,8 +54,6 @@ class JudgeRequest:
 class JudgeResponse:
     text: str
     cached: bool
-    backend_id: str
-    latency: float
 
 
 @dataclass
@@ -79,14 +78,17 @@ class JudgeConfig:
             raise ValueError("max_retries must be >= 0")
 
 
-def cache_key(model_id: str, temperature: float | None, system_text: str, user_text: str) -> str:
-    """Stable hash identifying a completion; temperature is always part of it."""
+def cache_key(model_id: str, temperature: float | None, system_text: str, user_text: str,
+              script: str | None = None) -> str:
+    """Stable hash identifying a completion; temperature is always part of it.
+    `script` is the mock script's sha256, so an edited script is asked afresh."""
     payload = json.dumps(
         {
             "model": model_id,
             "temperature": "default" if temperature is None else repr(float(temperature)),
             "system": system_text,
             "user": user_text,
+            **({} if script is None else {"script": script}),
         },
         sort_keys=True,
         ensure_ascii=False,
@@ -112,7 +114,7 @@ class MockScript:
     default answers anything unmatched.
     """
 
-    def __init__(self, rules: list[dict], default: str | None = None):
+    def __init__(self, rules: list[dict], default: str | None = None, digest: str | None = None):
         for i, rule in enumerate(rules):
             if "response" not in rule:
                 raise CorpusFormatError(f"mock rule {i}: missing response")
@@ -120,11 +122,14 @@ class MockScript:
                 raise CorpusFormatError(f"mock rule {i}: needs contains, regex, or hash")
         self.rules = rules
         self.default = default
+        self.digest = digest  # sha256 of the script file
 
     @classmethod
     def load(cls, path: Path | str) -> "MockScript":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(rules=data.get("rules", []), default=data.get("default"))
+        raw = Path(path).read_bytes()
+        data = json.loads(raw.decode("utf-8"))
+        return cls(rules=data.get("rules", []), default=data.get("default"),
+                   digest=hashlib.sha256(raw).hexdigest())
 
     def respond(self, system_text: str, user_text: str) -> str:
         combined = f"{system_text}\n\n{user_text}"
@@ -145,6 +150,58 @@ class MockScript:
         raise MockScriptMiss(
             f"no mock rule matches prompt (hash {prompt_hash(system_text, user_text)[:16]}...)"
         )
+
+
+class CompletionLog:
+    """`completions.jsonl`: lines of a 64-hex key, a tab and the entry JSON,
+    only ever appended.  An index maps each key to the offset and length of its
+    last entry.  A torn last line is skipped, and ended before the next append.
+    Callers serialize `refresh` and `put`; `get` needs no lock."""
+
+    NAME = "completions.jsonl"
+
+    def __init__(self, directory: Path | str):
+        Path(directory).mkdir(parents=True, exist_ok=True)
+        self._file = open(Path(directory) / self.NAME, "ab+", buffering=0,
+                          opener=lambda path, flags: os.open(path, flags, 0o600))
+        weakref.finalize(self, self._file.close)  # the file lives as long as the log
+        self._index: dict[str, tuple[int, int]] = {}
+        self._end, self._torn = 0, False  # indexed up to _end; torn bytes after it?
+        self.refresh()
+
+    def refresh(self) -> None:
+        """Index the whole lines appended since the last look, by anyone."""
+        if os.fstat(self._file.fileno()).st_size == self._end:
+            return
+        self._torn = False
+        with open(self._file.fileno(), "rb", closefd=False) as lines:
+            lines.seek(self._end)
+            for line in lines:
+                if not line.endswith(b"\n"):
+                    self._torn = True
+                    break
+                if line[64:65] == b"\t":
+                    self._index[line[:64].decode("latin-1")] = (self._end + 65, len(line) - 66)
+                self._end += len(line)
+
+    def keys(self) -> list[str]:
+        return list(self._index)
+
+    def get(self, key: str) -> Any:
+        """The last entry for `key`, or None; ValueError if it does not parse."""
+        at = self._index.get(key)
+        return None if at is None else json.loads(os.pread(self._file.fileno(), at[1], at[0]))
+
+    def put(self, key: str, entry: dict) -> None:
+        """Append one line with a single write()."""
+        body = json.dumps(entry, ensure_ascii=False, sort_keys=True).encode("utf-8")
+        line = b"%s%s\t%s\n" % (b"\n" if self._torn else b"", key.encode("ascii"), body)
+        self._torn = False
+        self._file.write(line)
+        end = self._file.tell()
+        self._index[key] = (end - 1 - len(body), len(body))
+        if end - len(line) == self._end:  # nobody else appended since the last look
+            self._end = end
 
 
 @dataclass
@@ -181,8 +238,7 @@ class Judge:
             if config.script_path is None:
                 raise ValueError("mock backend requires script_path")
             self._script = MockScript.load(config.script_path)
-        if config.cache_dir is not None:
-            Path(config.cache_dir).mkdir(parents=True, exist_ok=True)
+        self._log = None if config.cache_dir is None else CompletionLog(config.cache_dir)
 
     def map(self, work: Callable[[Any], Any], items: Sequence) -> list:
         """`work(item)` for every item, outcomes in input order.
@@ -233,7 +289,8 @@ class Judge:
             temperature = self.config.temperature
         elif temperature == BACKEND_DEFAULT:
             temperature = None
-        key = cache_key(self.config.model_id, temperature, request.system_text, request.user_text)
+        key = cache_key(self.config.model_id, temperature, request.system_text, request.user_text,
+                        self._script.digest if self._script is not None else None)
         flight: threading.Event | None = None
         try:
             while True:
@@ -242,38 +299,32 @@ class Judge:
                     with self._lock:
                         self._stats.cache_hits += 1
                     self._inline.hits += 1
-                    return JudgeResponse(
-                        text=cached_text, cached=True, backend_id=self.config.model_id,
-                        latency=0.0,
-                    )
+                    return JudgeResponse(text=cached_text, cached=True)
                 if self._script is None and self._inline.active:
                     raise _NeedsBackend
-                # a new flight reads the cache once more after it is registered:
-                # a flight that ended just before has written its answer by then
-                if flight is not None or self.config.cache_dir is None:
+                # a new flight reads the cache once more after it is registered: a flight
+                # that ended just before has written its answer, other processes theirs
+                if flight is not None or self._log is None:
                     break
                 with self._lock:
                     leader = self._flights.get(key)
                     if leader is None:
                         flight = self._flights[key] = threading.Event()
+                        self._log.refresh()
                 if leader is not None:
                     leader.wait()
 
-            start = time.monotonic()
             if self._script is not None:
                 text = self._script.respond(request.system_text, request.user_text)
             else:
                 text = self._live_complete(request.system_text, request.user_text, temperature)
-            latency = time.monotonic() - start
             with self._lock:
                 self._stats.backend_calls += 1
             if not text.strip():
                 raise EmptyCompletion("backend returned an empty completion")
 
             self._cache_write(key, request, temperature, text)
-            return JudgeResponse(
-                text=text, cached=False, backend_id=self.config.model_id, latency=latency
-            )
+            return JudgeResponse(text=text, cached=False)
         finally:
             if flight is not None:
                 with self._lock:
@@ -282,37 +333,22 @@ class Judge:
 
     # -- cache --
 
-    def _cache_path(self, key: str) -> Path | None:
-        if self.config.cache_dir is None:
-            return None
-        return Path(self.config.cache_dir) / f"{key}.json"
-
     def _cache_read(self, key: str) -> str | None:
-        path = self._cache_path(key)
-        if path is None or not path.exists():
-            return None
         try:
-            entry = json.loads(path.read_text(encoding="utf-8"))
-            return entry["response"]["text"]
-        except (json.JSONDecodeError, KeyError, OSError):
-            log.warning("unreadable cache entry %s, treating as miss", path.name)
+            entry = None if self._log is None else self._log.get(key)
+            return None if entry is None else entry["response"]["text"]
+        except (ValueError, LookupError, TypeError, OSError):
+            log.warning("unreadable cache entry %s, treating as miss", key)
             return None
 
     def _cache_write(self, key: str, request: JudgeRequest, temperature: float | None, text: str) -> None:
-        path = self._cache_path(key)
-        if path is None:
+        if self._log is None:
             return
-        entry = {
-            "request": {
-                "model_id": self.config.model_id,
-                "temperature": temperature,
-                "system_text": request.system_text,
-                "user_text": request.user_text,
-            },
-            "response": {"text": text},
-        }
-        # entries hold full prompts and answers: readable by their owner only
-        write_atomic(path, json.dumps(entry, ensure_ascii=False, sort_keys=True), mode=0o600)
+        entry = {"request": {"model_id": self.config.model_id, "temperature": temperature,
+                             "system_text": request.system_text, "user_text": request.user_text},
+                 "response": {"text": text}}
+        with self._lock:
+            self._log.put(key, entry)
 
     # -- live transport --
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from rulerverse.corpus import Corpus, load_corpus
-from rulerverse.judge import Judge, JudgeConfig
+from rulerverse.judge import CompletionLog, Judge, JudgeConfig
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -37,6 +37,12 @@ def make_judge(
         **overrides,
     )
     return Judge(config)
+
+
+def cache_entries(cache_dir: Path) -> dict[str, dict]:
+    """Every entry of the completion log in `cache_dir`, by cache key."""
+    store = CompletionLog(cache_dir)
+    return {key: store.get(key) for key in store.keys()}
 
 
 @pytest.fixture

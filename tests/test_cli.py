@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import itertools
 import json
+import tempfile
 import threading
 from collections import Counter
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURES, write_synthetic_corpus
 from oracles import alpha_coincidence_oracle, rho_oracle, tau_b_oracle
@@ -329,12 +334,19 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     assert out["candidates"] == {"beta": 1.0}
 
 
-@pytest.mark.parametrize("jobs", ["0", "-1"])
-def test_jobs_below_one_rejected(tmp_path, capsys, jobs):
+@pytest.mark.parametrize("command, flag, value, low", [
+    pytest.param(["ruler"], "--jobs", "0", 1, id="0"),
+    pytest.param(["ruler"], "--jobs", "-1", 1, id="-1"),
+    pytest.param(["ruler"], "--max-retries", "-1", 0, id="max-retries"),
+    pytest.param(["ruler"], "--reference-index", "-1", 0, id="reference-index"),
+    pytest.param(["verse", "gen"], "--n-questions", "0", 1, id="n-questions"),
+])
+def test_jobs_below_one_rejected(tmp_path, capsys, command, flag, value, low):
+    """--jobs and every other integer flag with a lower bound: a usage error."""
     with pytest.raises(SystemExit) as exc:
-        main(["ruler"] + common_flags(tmp_path) + ["--jobs", jobs])
+        main(command + common_flags(tmp_path) + [flag, value])
     assert exc.value.code == 2
-    assert f"--jobs must be an integer >= 1, got {jobs}" in capsys.readouterr().err
+    assert f"{flag} must be an integer >= {low}, got {value}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -482,3 +494,67 @@ def test_outputs_identical_at_one_and_four_jobs(tmp_path, monkeypatch):
         sums1[stage].pop("output", None), sums4[stage].pop("output", None)
         assert sums1[stage] == sums4[stage] and sums1[stage]["items_failed"] == 0, stage
     assert sums4["verse_grade"]["backend_calls"] == 180
+
+
+def test_changed_mock_script_means_backend_calls(tmp_path):
+    assert main(["ruler"] + common_flags(tmp_path)) == 0
+    script = tmp_path / "score_one.json"
+    script.write_text(json.dumps({"rules": [], "default": "Score: 1"}), encoding="utf-8")
+    flags = common_flags(tmp_path)
+    flags[flags.index("--script") + 1] = str(script)
+    assert main(["ruler"] + flags) == 0
+    summary = json.loads((tmp_path / "out" / "run1" / "ruler_summary.json").read_text())
+    assert (summary["backend_calls"], summary["cache_hits"]) == (80, 0)
+
+
+# -- resuming an interrupted run --
+
+RESUME_STAGES = (["ruler"], ["verse", "gen"], ["verse", "classify"], ["verse", "grade"],
+                 ["report"])
+# how the run went, not what it computed
+RUN_COUNTERS = ("backend_calls", "cache_hits")
+
+
+def _run_pipeline(root: Path) -> Path:
+    for argv in RESUME_STAGES:
+        assert main(argv + common_flags(root)) == 0, argv
+    return root / "out" / "run1"
+
+
+def _artifacts(run_dir: Path) -> dict[str, object]:
+    """Every file of a run directory; summaries without their counters."""
+    files: dict[str, object] = {}
+    for path in sorted(run_dir.iterdir()):
+        if path.name.endswith("_summary.json"):
+            summary = json.loads(path.read_text(encoding="utf-8"))
+            files[path.name] = {k: v for k, v in summary.items() if k not in RUN_COUNTERS}
+            files[path.name + " calls"] = sum(summary[k] for k in RUN_COUNTERS)
+        else:
+            files[path.name] = path.read_bytes()
+    return files
+
+
+@pytest.fixture(scope="module")
+def uninterrupted(tmp_path_factory) -> tuple[dict[str, object], int]:
+    run_dir = _run_pipeline(tmp_path_factory.mktemp("uninterrupted"))
+    calls = sum(json.loads(p.read_text()).get("backend_calls", 0)
+                for p in run_dir.glob("*_summary.json"))
+    return _artifacts(run_dir), calls
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_interrupted_pipeline_resumes_to_identical_artifacts(uninterrupted, data):
+    expected, calls = uninterrupted
+    k = data.draw(st.integers(0, calls - 1), label="judge calls before the interrupt")
+    counter, respond = itertools.count(), MockScript.respond
+
+    def interrupting(self, system_text, user_text):
+        if next(counter) == k:
+            raise KeyboardInterrupt
+        return respond(self, system_text, user_text)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        with patch.object(MockScript, "respond", interrupting), pytest.raises(KeyboardInterrupt):
+            _run_pipeline(Path(tmp))
+        assert _artifacts(_run_pipeline(Path(tmp))) == expected

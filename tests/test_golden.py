@@ -11,8 +11,9 @@ from __future__ import annotations
 import hashlib
 import json
 
-from conftest import FIXTURES
+from conftest import FIXTURES, cache_entries
 from rulerverse.cli import main
+from rulerverse.judge import cache_key
 from rulerverse.ruler import PromptOptions
 from rulerverse.translate import TranslationPromptSpec
 
@@ -36,7 +37,9 @@ STAGES = (
 )
 
 CACHE_KEYS = 550
-CACHE_KEYS_SHA256 = "e36e683fc6c1e605e7ef00ce695d57b5f45dc404ac3d48a9716045aabe0f6696"
+# Moved once on purpose, when the mock's keys took in its script's sha256; with
+# that digest left out, the keys hash to the value pinned before the move.
+CACHE_KEYS_SHA256 = "7ffd9310ec280d0adfc43e4cc14fa74929f9f4fe208cca06f65017b2db53d27f"
 
 
 def test_cache_keys_of_every_judge_stage(tmp_path):
@@ -55,9 +58,17 @@ def test_cache_keys_of_every_judge_stage(tmp_path):
     ]
     for argv in STAGES:
         assert main(argv + flags) == 0, argv
-    names = sorted(p.name for p in (tmp_path / "out" / "judge_cache").glob("*.json"))
+    names = sorted(cache_entries(tmp_path / "out" / "judge_cache"))
     digest = hashlib.sha256("\n".join(names).encode("ascii")).hexdigest()
     assert (len(names), digest) == (CACHE_KEYS, CACHE_KEYS_SHA256)
+
+
+def test_live_cache_key():
+    """Live keys never depend on a script; this one predates the script digest."""
+    key = cache_key("gpt-judge", 0.0, "You are an evaluator.", "Rate this paragraph: 夜\n\nScore?")
+    assert key == "3e4ad110649fa6b9e8b9cbbb3783b2232d5b645303445dd8dadb4d4edba4e03c"
+    assert cache_key("gpt-judge", None, "sys", "user") == (
+        "6e4cfb2c248192c623b007f2849f14aa0a6f8b6f45055677274fe58c40f2e485")
 
 
 def test_option_fingerprints():

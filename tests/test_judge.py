@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import rulerverse
-from conftest import FIXTURES, make_judge
+from conftest import FIXTURES, cache_entries, make_judge
 from rulerverse.corpus import load_candidates
 from rulerverse.errors import (
     BackendResponseError,
@@ -22,6 +22,7 @@ from rulerverse.errors import (
 )
 from rulerverse.judge import (
     BACKEND_DEFAULT,
+    CompletionLog,
     Judge,
     JudgeConfig,
     JudgeRequest,
@@ -108,9 +109,9 @@ def test_temperature_distinguishes_cache_entries(tmp_path):
 def test_cache_stores_full_request(tmp_path):
     judge = make_judge(tmp_path, script=SCRIPT)
     judge.complete(JudgeRequest("sys", "rate the honorifics"))
-    entries = list((tmp_path / "cache").glob("*.json"))
+    entries = list(cache_entries(tmp_path / "cache").values())
     assert len(entries) == 1
-    stored = json.loads(entries[0].read_text(encoding="utf-8"))
+    stored = entries[0]
     assert stored["request"]["system_text"] == "sys"
     assert stored["request"]["user_text"] == "rate the honorifics"
     assert stored["response"]["text"] == "Score: 5"
@@ -134,11 +135,13 @@ def test_corrupt_cache_entry_is_a_miss(tmp_path):
     judge = make_judge(tmp_path, script=SCRIPT)
     request = JudgeRequest("s", "rate the honorifics")
     judge.complete(request)
-    entry = next((tmp_path / "cache").glob("*.json"))
-    entry.write_text("{broken", encoding="utf-8")
-    got = judge.complete(request)
+    key = next(iter(cache_entries(tmp_path / "cache")))
+    (tmp_path / "cache" / CompletionLog.NAME).write_text(f"{key}\t{{broken\n", encoding="utf-8")
+    got = make_judge(tmp_path, script=SCRIPT).complete(request)
     assert got.cached is False
     assert got.text == "Score: 5"
+    # the rewrite, the key's last line, supersedes the corrupt entry
+    assert make_judge(tmp_path, script=SCRIPT).complete(request).cached is True
 
 
 def test_backend_default_temperature_shares_counters(tmp_path):
@@ -146,8 +149,9 @@ def test_backend_default_temperature_shares_counters(tmp_path):
     judge.complete(JudgeRequest("s", "rate the honorifics", temperature=BACKEND_DEFAULT))
     assert judge.stats["backend_calls"] == 1
     assert judge.config.temperature == 0.0
-    key = cache_key("mock-judge", None, "s", "rate the honorifics")
-    assert (tmp_path / "cache" / f"{key}.json").exists()
+    key = cache_key("mock-judge", None, "s", "rate the honorifics",
+                    MockScript.load(tmp_path / "script.json").digest)
+    assert key in cache_entries(tmp_path / "cache")
 
 
 def test_mock_script_miss_without_default(tmp_path):
@@ -433,7 +437,8 @@ def test_live_runner_sends_only_misses_to_workers(tmp_path, fixture_corpus):
         )
 
     # items 0-4 fully cached; item 5 has its first two criteria cached, not its last two
-    filler = make_judge(tmp_path, model_id="m")
+    # (a mock's keys carry its script's digest, so a live judge fills the live keys)
+    filler = _ScriptedLive(_live_config(tmp_path))
     for pair in pairs[:5]:
         for criterion in CRITERIA:
             filler.complete(prompt(pair, criterion))
@@ -471,9 +476,10 @@ def test_map_counts_each_call_once_under_thread_switching(tmp_path):
     prompts = [[f"item {i} part {k}" for k in range(3)] for i in range(150)]
     # every fourth item fully cached, the others partly
     cached = {prompts[i][k] for i in range(150) for k in range(3) if i * k % 4 == 0}
-    filler = make_judge(tmp_path, script={"rules": [], "default": "ok"}, model_id="m")
+    filler = Live(_live_config(tmp_path))
     for p in cached:
         filler.complete(JudgeRequest("s", p))
+    posts.clear()
     judge = Live(replace(_live_config(tmp_path), concurrency_limit=8))
 
     def work(item):
@@ -563,3 +569,101 @@ def test_a_failed_leader_lets_the_waiter_post(tmp_path):
     assert outcomes["waiter"] == "Score: 2"
     assert posts == ["leader", "waiter"]
     assert judge.stats == {"backend_calls": 1, "cache_hits": 0}
+
+
+# -- the completion log --
+
+def test_log_file_readable_by_owner_only(tmp_path):
+    make_judge(tmp_path, script=SCRIPT).complete(JudgeRequest("s", "rate the honorifics"))
+    assert (tmp_path / "cache" / CompletionLog.NAME).stat().st_mode & 0o777 == 0o600
+
+
+def test_log_line_format(tmp_path):
+    judge = make_judge(tmp_path, script=SCRIPT)
+    judge.complete(JudgeRequest("sys", "rate the honorifics 夜"))
+    line = (tmp_path / "cache" / CompletionLog.NAME).read_text(encoding="utf-8")
+    key, body = line.rstrip("\n").split("\t")
+    assert line.count("\n") == 1 and len(key) == 64
+    assert body == json.dumps(cache_entries(tmp_path / "cache")[key], ensure_ascii=False,
+                              sort_keys=True)
+
+
+def test_torn_last_line_is_skipped_and_terminated(tmp_path):
+    path = tmp_path / "cache" / CompletionLog.NAME
+    make_judge(tmp_path, script=SCRIPT).complete(JudgeRequest("s", "rate the honorifics"))
+    whole = path.read_bytes()
+    torn = b"f" * 64 + whole[64 : len(whole) // 2]
+    path.write_bytes(whole + torn)  # a writer died halfway through its line
+
+    judge = make_judge(tmp_path, script=SCRIPT)
+    assert CompletionLog(tmp_path / "cache").keys() == [whole[:64].decode()]
+    assert judge.complete(JudgeRequest("s", "rate the honorifics")).cached is True
+    assert judge.complete(JudgeRequest("s", "something else")).cached is False
+    # the next append ended the torn line first, so its own line is whole
+    lines = path.read_bytes().split(b"\n")
+    assert lines[:2] == [whole[:-1], torn] and len(lines) == 4 and lines[-1] == b""
+    again = make_judge(tmp_path, script=SCRIPT)
+    assert again.complete(JudgeRequest("s", "something else")).cached is True
+    assert again.complete(JudgeRequest("s", "rate the honorifics")).cached is True
+    with pytest.raises(ValueError):
+        CompletionLog(tmp_path / "cache").get("f" * 64)
+
+
+_SRC = str(Path(rulerverse.__file__).resolve().parents[1])
+
+
+def _python(code, *args):
+    return subprocess.Popen([sys.executable, "-c", code, *map(str, args)],
+                            env={"PYTHONPATH": _SRC})
+
+
+def test_two_writer_processes_lose_no_entry(tmp_path):
+    # each writer rereads the log before every put, as a new flight does
+    code = """if True:
+        import sys, time
+        from rulerverse.judge import CompletionLog
+        store = CompletionLog(sys.argv[1])
+        time.sleep(max(0.0, float(sys.argv[3]) - time.time()))
+        for i in range(200):
+            text = f"{sys.argv[2]}-{i} " + "x" * (i * 37 % 6000)
+            store.refresh()
+            store.put(f"{sys.argv[2]}{i:063d}", {"response": {"text": text}})
+    """
+    start = time.time() + 1.0
+    writers = [_python(code, tmp_path, name, start) for name in "ab"]
+    assert [w.wait(timeout=60) for w in writers] == [0, 0]
+    entries = cache_entries(tmp_path)
+    assert sorted(entries) == sorted(f"{n}{i:063d}" for n in "ab" for i in range(200))
+    for key, entry in entries.items():
+        i = int(key[1:])
+        assert entry == {"response": {"text": f"{key[0]}-{i} " + "x" * (i * 37 % 6000)}}
+
+
+def test_entry_appended_by_another_process_is_a_hit(tmp_path):
+    judge = make_judge(tmp_path, script=SCRIPT)
+    request = JudgeRequest("s", "rate the honorifics")
+    key = cache_key("mock-judge", 0.0, "s", "rate the honorifics",
+                    MockScript.load(tmp_path / "script.json").digest)
+    code = """if True:
+        import sys
+        from rulerverse.judge import CompletionLog
+        CompletionLog(sys.argv[1]).put(sys.argv[2], {"response": {"text": "Score: 1"}})
+    """
+    assert _python(code, tmp_path / "cache", key).wait(timeout=60) == 0
+    got = judge.complete(request)
+    assert (got.text, got.cached) == ("Score: 1", True)
+    assert judge.stats == {"backend_calls": 0, "cache_hits": 1}
+
+
+def test_old_per_entry_cache_files_are_not_read(tmp_path, monkeypatch):
+    monkeypatch.setattr(Judge, "_post", lambda self, payload: "fresh")
+    judge = Judge(_live_config(tmp_path))
+    key = cache_key("m", 0.0, "s", "u")
+    (tmp_path / "cache" / f"{key}.json").write_text(
+        json.dumps({"request": {"model_id": "m", "temperature": 0.0, "system_text": "s",
+                                "user_text": "u"}, "response": {"text": "stale"}}),
+        encoding="utf-8")
+    got = judge.complete(JudgeRequest("s", "u"))
+    assert (got.text, got.cached) == ("fresh", False)
+    assert judge.stats == {"backend_calls": 1, "cache_hits": 0}
+

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import make_judge
+from conftest import cache_entries, make_judge
 from rulerverse.errors import InsufficientBank
 from rulerverse.translate import (
     TranslationPromptSpec,
@@ -105,12 +105,7 @@ def test_split_sentences():
 def test_translation_uses_backend_default_temperature(tmp_path, fixture_corpus):
     judge = make_judge(tmp_path, script=TRANSLATE_SCRIPT)
     translate_corpus(fixture_corpus, _spec(n_shots=0), judge, system_id="sysX")
-    import json
-
-    entries = [
-        json.loads(p.read_text(encoding="utf-8"))
-        for p in (tmp_path / "cache").glob("*.json")
-    ]
+    entries = list(cache_entries(tmp_path / "cache").values())
     assert entries
     assert all(e["request"]["temperature"] is None for e in entries)
 

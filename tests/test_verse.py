@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import make_judge
+from conftest import cache_entries, make_judge
 from rulerverse.errors import (
     NoQuestionsParsed,
     OutOfRange,
@@ -148,7 +148,7 @@ def test_grade_reference_free_prompt(tmp_path, pair):
     q = VerseQuestion("q1", pair.story_id, pair.index, "Is the imagery kept?")
     grade_question(q, pair, "cand", PromptOptions(include_reference=False), judge)
     grade_question(q, pair, "cand", PromptOptions(), judge)
-    entries = list((tmp_path / "cache").glob("*.json"))
+    entries = list(cache_entries(tmp_path / "cache"))
     assert len(entries) == 2  # with vs without reference are distinct prompts
 
 
