@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import logging
@@ -36,18 +37,10 @@ from .ruler import ItemFailure, PromptOptions, split_failures
 
 log = logging.getLogger(__name__)
 
-FINGERPRINT_FIELDS = (
-    "corpus", "stories", "candidates", "annotations", "rubric", "questions",
-    "manifest", "shots_bank",
-    "backend", "model", "endpoint", "script", "temperature",
-    "cot", "k_shot", "no_rubric", "no_reference", "reference_index",
-    "seed", "mapping",
-)
-
-
 def config_fingerprint(args: argparse.Namespace) -> str:
+    """sha256 of the `fingerprint_fields()` values in `args`."""
     payload = {}
-    for name in FINGERPRINT_FIELDS:
+    for name in fingerprint_fields():
         value = getattr(args, name, None)
         if isinstance(value, list):
             value = sorted(str(v) for v in value)
@@ -109,10 +102,15 @@ class RunContext:
         return corpus_mod.load_corpus(self.args.corpus, self.args.stories)
 
     def load_candidates(self, corpus: Corpus) -> list[CandidateSet]:
+        """Every --candidates file, restricted to the --manifest items if one is given."""
         paths = self.args.candidates or []
         if not paths:
             raise EvalError("--candidates is required for this subcommand")
-        return [corpus_mod.load_candidates(p, corpus) for p in paths]
+        candidate_sets = [corpus_mod.load_candidates(p, corpus) for p in paths]
+        manifest = self.manifest()
+        if manifest is not None:
+            candidate_sets = [c.subset(manifest.keys()) for c in candidate_sets]
+        return candidate_sets
 
     def judge(self) -> Judge:
         args = self.args
@@ -256,9 +254,6 @@ def cmd_translate(ctx: RunContext) -> int:
 def cmd_ruler(ctx: RunContext) -> int:
     corpus = ctx.load_corpus()
     candidate_sets = ctx.load_candidates(corpus)
-    manifest = ctx.manifest()
-    if manifest is not None:
-        candidate_sets = [c.subset(manifest.keys()) for c in candidate_sets]
     rubric = ctx.rubric()
     options = ctx.options()
     judge = ctx.judge()
@@ -362,9 +357,6 @@ def cmd_verse_classify(ctx: RunContext) -> int:
 def cmd_verse_grade(ctx: RunContext) -> int:
     corpus = ctx.load_corpus()
     candidate_sets = ctx.load_candidates(corpus)
-    manifest = ctx.manifest()
-    if manifest is not None:
-        candidate_sets = [c.subset(manifest.keys()) for c in candidate_sets]
     q_meta, records = read_artifact(_questions_path(ctx))
     questions = [verse.question_from_record(r) for r in records]
     unclassified = [q.question_id for q in questions if q.category is None]
@@ -372,6 +364,7 @@ def cmd_verse_grade(ctx: RunContext) -> int:
         raise UnclassifiedQuestion(
             f"{len(unclassified)} questions lack categories; run `verse classify` first"
         )
+    manifest = ctx.manifest()
     if manifest is not None:
         allowed = {qid for item in manifest.items for qid in item.question_ids}
         if allowed:
@@ -501,6 +494,25 @@ def _check_fingerprints(metas: dict[str, dict]) -> str:
     return next(iter(distinct), "")
 
 
+def _score_series(
+    systems: Sequence[str],
+    questions: Sequence[verse.VerseQuestion],
+    grades: Sequence[verse.VerseGrade],
+    mapping: str,
+    axis_min: float,
+) -> list[tuple[str, list[float]]]:
+    """Radar series of mean grade percentages per category, one per system
+    with grades; a category without grades sits at `axis_min`."""
+    series = []
+    for system in systems:
+        system_grades = [g for g in grades if g.system_id == system]
+        if system_grades:
+            aggregates = verse.aggregate_categories(questions, system_grades, mapping)
+            means = (aggregates[c].mean_score_percent for c in verse.CATEGORIES)
+            series.append((system, [axis_min if m is None else m for m in means]))
+    return series
+
+
 def cmd_report(ctx: RunContext) -> int:
     scorecards_path = Path(ctx.args.scorecards) if ctx.args.scorecards else ctx.out_dir / "scorecards.jsonl"
     grades_path = Path(ctx.args.grades) if ctx.args.grades else ctx.out_dir / "grades.jsonl"
@@ -548,19 +560,9 @@ def cmd_report(ctx: RunContext) -> int:
 
     axis_min = ctx.args.axis_min
     if grades:
-        series = []
-        for system in table.systems:
-            cells = table.verse_categories[system]
-            if all(cell.value is None for cell in cells.values()):
-                continue
-            values = [
-                cells[c].value if cells[c].value is not None else axis_min
-                for c in verse.CATEGORIES
-            ]
-            series.append((system, values))
-        if series:
-            svg = report.radar_svg(list(verse.CATEGORIES), series, axis_min=axis_min)
-            corpus_mod.write_atomic(ctx.out_dir / "radar_scores.svg", svg)
+        series = _score_series(table.systems, questions, grades, ctx.args.mapping, axis_min)
+        svg = report.radar_svg(list(verse.CATEGORIES), series, axis_min=axis_min)
+        corpus_mod.write_atomic(ctx.out_dir / "radar_scores.svg", svg)
     if questions:
         share_series = []
         for story_id in sorted({q.story_id for q in questions}):
@@ -575,28 +577,10 @@ def cmd_report(ctx: RunContext) -> int:
         for story_id in sorted({q.story_id for q in questions}):
             story_questions = [q for q in questions if q.story_id == story_id]
             story_qids = {q.question_id for q in story_questions}
-            series = []
-            for system in table.systems:
-                story_grades = [
-                    g for g in grades
-                    if g.system_id == system and g.question_id in story_qids
-                ]
-                if not story_grades:
-                    continue
-                aggregates = verse.aggregate_categories(
-                    story_questions, story_grades, ctx.args.mapping
-                )
-                series.append(
-                    (
-                        system,
-                        [
-                            aggregates[c].mean_score_percent
-                            if aggregates[c].mean_score_percent is not None
-                            else axis_min
-                            for c in verse.CATEGORIES
-                        ],
-                    )
-                )
+            story_grades = [g for g in grades if g.question_id in story_qids]
+            series = _score_series(
+                table.systems, story_questions, story_grades, ctx.args.mapping, axis_min
+            )
             if series:
                 svg = report.radar_svg(list(verse.CATEGORIES), series, axis_min=axis_min)
                 name = f"radar_scores_{_sanitize(story_id)}.svg"
@@ -644,6 +628,19 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--run-id", help="default: config fingerprint prefix")
     parser.add_argument("--cache-dir", help="judge cache (default: <out>/judge_cache)")
     parser.add_argument("--mapping", choices=list(report.MAPPINGS), default="minmax")
+
+
+# common flags that change how a run goes, never what it computes
+OPERATIONAL_FLAGS = ("config", "jobs", "out", "run_id", "cache_dir", "timeout", "max_retries",
+                     "api_key_env")
+
+
+@functools.cache
+def fingerprint_fields() -> tuple[str, ...]:
+    """The common flags that identify what a run computed."""
+    common = argparse.ArgumentParser(add_help=False)
+    _add_common(common)
+    return tuple(a.dest for a in common._actions if a.dest not in OPERATIONAL_FLAGS)
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParser]]:

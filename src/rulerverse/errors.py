@@ -54,9 +54,10 @@ class TransportExhausted(EvalError):
 class BackendResponseError(EvalError):
     """Live backend answered with an error status or a malformed body."""
 
-    def __init__(self, status: int, detail: str):
+    def __init__(self, status: int, detail: str, retry_after: float | None = None):
         super().__init__(f"HTTP {status}: {detail}")
         self.status = status
+        self.retry_after = retry_after  # seconds, from a Retry-After header
         # rate limits and server errors may pass; other answers will not change
         self.transient = status == 429 or status >= 500
 

@@ -31,6 +31,9 @@ BACKENDS = ("live", "mock")
 # A request temperature that sends none, so the backend samples at its own default.
 BACKEND_DEFAULT = "backend-default"
 
+# The longest wait that a Retry-After answer can impose before a retry.
+RETRY_AFTER_MAX_S = 60.0
+
 
 @dataclass(frozen=True)
 class JudgeRequest:
@@ -353,35 +356,47 @@ class Judge:
     # -- live transport --
 
     def _post(self, payload: dict[str, Any]) -> str:
-        """Single HTTP attempt against a chat-completions endpoint.  Raises
-        ConnectionError or TimeoutError when no answer came, BackendResponseError
-        for an error status or a malformed body."""
-        import requests  # only the live transport needs it
+        """Single HTTP attempt against a chat-completions endpoint, on a
+        connection of its own.  Raises ConnectionError or TimeoutError when no
+        answer came, BackendResponseError for an error status or a malformed body."""
+        import http.client  # only the live transport needs these
+        import urllib.error
+        import urllib.request
 
         api_key = os.environ.get(self.config.api_key_env, "")
         headers = {"Content-Type": "application/json"}
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
+        # a request with a body is a POST
+        request = urllib.request.Request(self.config.endpoint, json.dumps(payload).encode(), headers)
         try:
-            resp = requests.post(self.config.endpoint, json=payload, headers=headers,
-                                 timeout=self.config.timeout)
-        except requests.Timeout as exc:
-            raise TimeoutError(str(exc)) from exc
-        except (requests.ConnectionError, requests.exceptions.ChunkedEncodingError) as exc:
-            raise ConnectionError(str(exc)) from exc
-        if resp.status_code >= 400:
-            raise BackendResponseError(resp.status_code, resp.reason or "")
+            with urllib.request.urlopen(request, timeout=self.config.timeout) as resp:
+                status, body = resp.status, resp.read()
+        except urllib.error.HTTPError as exc:
+            exc.close()
+            retry_after = (exc.headers.get("Retry-After") or "").strip()
+            raise BackendResponseError(
+                exc.code, exc.reason or "",
+                float(retry_after) if retry_after.isascii() and retry_after.isdigit() else None,
+            ) from None
+        except urllib.error.URLError as exc:
+            if isinstance(exc.reason, TimeoutError):
+                raise TimeoutError(str(exc.reason)) from exc
+            raise ConnectionError(str(exc.reason)) from exc
+        except http.client.HTTPException as exc:
+            raise ConnectionError(repr(exc)) from exc
         try:
-            return resp.json()["choices"][0]["message"]["content"]
+            return json.loads(body)["choices"][0]["message"]["content"]
         except (ValueError, LookupError, TypeError) as exc:
-            raise BackendResponseError(resp.status_code, f"malformed body ({exc!r})") from exc
+            raise BackendResponseError(status, f"malformed body ({exc!r})") from exc
 
     def _sleep(self, seconds: float) -> None:
         time.sleep(seconds)
 
     def _live_complete(self, system_text: str, user_text: str, temperature: float | None) -> str:
         """Retries connection errors, timeouts, 429 and 5xx; fails at once on
-        anything else.  Backoff sleeps hold no concurrency slot."""
+        anything else.  The backoff is `2 ** attempt` seconds, or the answer's
+        Retry-After up to RETRY_AFTER_MAX_S; backoff sleeps hold no concurrency slot."""
         payload: dict[str, Any] = {
             "model": self.config.model_id,
             "messages": [
@@ -393,19 +408,21 @@ class Judge:
             payload["temperature"] = temperature
         attempts = self.config.max_retries + 1
         for attempt in range(attempts):
+            delay = 2.0 ** attempt
             try:
                 with self._sem:
                     return self._post(payload)
             except BackendResponseError as exc:
                 if not exc.transient:
                     raise
+                if exc.retry_after is not None:
+                    delay = min(exc.retry_after, RETRY_AFTER_MAX_S)
                 last_error: Exception = exc
             except (ConnectionError, TimeoutError) as exc:
                 last_error = exc
             except Exception as exc:
                 raise TransportExhausted(f"not retried: {exc!r}") from exc
             if attempt < attempts - 1:
-                delay = 2.0 ** attempt
                 log.warning("judge attempt %d/%d failed (%r), retrying in %.0fs",
                             attempt + 1, attempts, last_error, delay)
                 self._sleep(delay)

@@ -218,27 +218,25 @@ def ruler_prompt_sections(
             f"Example {i + 1}:\n{_format_shot(s)}" for i, s in enumerate(chosen)
         ]
         sections.append(("Worked examples", "\n\n".join(blocks)))
-    sections.append(("Source passage", pair.source_text))
+    return sections + judged_sections(pair, candidate_text, options, "an integer from 1 to 5")
+
+
+def judged_sections(
+    pair: ParagraphPair, candidate_text: str, options: PromptOptions, scale_text: str
+) -> list[tuple[str, str]]:
+    """The tail of every scoring prompt: the texts under judgement and the
+    instruction to end with a "Score: N" line, N being `scale_text`."""
+    sections = [("Source passage", pair.source_text)]
     if options.include_reference:
         sections.append(("Reference translation", pair.reference(options.reference_index)))
     sections.append(("Candidate translation", candidate_text))
     if options.use_cot:
-        sections.append(
-            (
-                "Output format",
-                "Explain your reasoning briefly, then end your response with a "
-                'final line of the form "Score: N" where N is an integer from 1 to 5.',
-            )
-        )
+        instruction = ("Explain your reasoning briefly, then end your response with a final "
+                       f'line of the form "Score: N" where N is {scale_text}.')
     else:
-        sections.append(
-            (
-                "Output format",
-                'Respond with a single line of the form "Score: N" where N is '
-                "an integer from 1 to 5. Do not add any other text.",
-            )
-        )
-    return sections
+        instruction = (f'Respond with a single line of the form "Score: N" where N is '
+                       f"{scale_text}. Do not add any other text.")
+    return sections + [("Output format", instruction)]
 
 
 def build_ruler_prompt(
@@ -267,6 +265,12 @@ def parse_score(response_text: str, lo: int, hi: int) -> int:
     if not lo <= value <= hi:
         raise OutOfRange(value, lo, hi)
     return value
+
+
+def strip_score_lines(response_text: str) -> str:
+    """The response without its "Score: N" lines: the judge's reasoning."""
+    kept = [ln for ln in response_text.splitlines() if not _SCORE_LINE.match(ln)]
+    return "\n".join(kept).strip()
 
 
 def parse_likert_score(response_text: str) -> int:
@@ -319,12 +323,6 @@ class RulerRunResult:
     failures: list[ItemFailure]
 
 
-def _strip_score_line(text: str) -> str:
-    lines = text.splitlines()
-    kept = [ln for ln in lines if not _SCORE_LINE.match(ln)]
-    return "\n".join(kept).strip()
-
-
 def score_candidate(
     corpus: Corpus,
     candidates: CandidateSet,
@@ -356,7 +354,7 @@ def score_candidate(
                 scores[criterion] = parse_likert_score(response.text)
                 raw[criterion] = response.text
                 if options.use_cot:
-                    rationales[criterion] = _strip_score_line(response.text)
+                    rationales[criterion] = strip_score_lines(response.text)
             except EvalError as exc:
                 return ItemFailure.of(
                     exc, f"ruler:{criterion.value}", pair.story_id, pair.index, system_id

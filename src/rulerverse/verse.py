@@ -21,7 +21,7 @@ from .errors import (
     UnmappableCategory,
 )
 from .judge import Judge, JudgeRequest
-from .ruler import SYSTEM_TEXT, PromptOptions, parse_score
+from .ruler import SYSTEM_TEXT, PromptOptions, judged_sections, parse_score, strip_score_lines
 from .scales import VERSE_SCALE, to_percentage
 
 log = logging.getLogger(__name__)
@@ -202,26 +202,7 @@ def build_grading_prompt(
     ]
     if summary.strip():
         sections.append(("Story summary", summary.strip()))
-    sections.append(("Source passage", pair.source_text))
-    if options.include_reference:
-        sections.append(("Reference translation", pair.reference(options.reference_index)))
-    sections.append(("Candidate translation", candidate_text))
-    if options.use_cot:
-        sections.append(
-            (
-                "Output format",
-                "Explain your reasoning briefly, then end your response with a "
-                'final line of the form "Score: N" where N is 1, 2, or 3.',
-            )
-        )
-    else:
-        sections.append(
-            (
-                "Output format",
-                'Respond with a single line of the form "Score: N" where N is '
-                "1, 2, or 3. Do not add any other text.",
-            )
-        )
+    sections += judged_sections(pair, candidate_text, options, "1, 2, or 3")
     return JudgeRequest.render(SYSTEM_TEXT, sections)
 
 
@@ -238,10 +219,7 @@ def grade_question(
     request = build_grading_prompt(question, pair, candidate_text, options, summary)
     response = judge.complete(request)
     score = parse_score(response.text, VERSE_SCALE.min, VERSE_SCALE.max)
-    rationale = None
-    if options.use_cot:
-        lines = [ln for ln in response.text.splitlines() if not ln.strip().startswith("Score:")]
-        rationale = "\n".join(lines).strip() or None
+    rationale = (strip_score_lines(response.text) or None) if options.use_cot else None
     return VerseGrade(
         question_id=question.question_id,
         system_id=system_id,

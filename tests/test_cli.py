@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import itertools
 import json
 import tempfile
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURES, write_synthetic_corpus
 from oracles import alpha_coincidence_oracle, rho_oracle, tau_b_oracle
-from rulerverse.cli import main
+from rulerverse.cli import _add_common, build_parser, config_fingerprint, main
 from rulerverse.judge import Judge, MockScript
 from rulerverse.metrics import RatingVector
 
@@ -74,6 +75,29 @@ def test_sample_writes_manifest(tmp_path, capsys):
     assert manifest["fingerprint"]
     printed = json.loads(capsys.readouterr().out)
     assert printed == {"items": 20, "questions": 0}
+
+
+def test_manifest_restricts_ruler_and_verse_grade_but_not_validate(tmp_path, capsys):
+    flags = common_flags(tmp_path)
+    run_dir = tmp_path / "out" / "run1"
+    assert main(["verse", "gen"] + flags) == 0
+    assert main(["verse", "classify"] + flags) == 0
+    assert main(["sample"] + flags + ["--n-per-story", "2", "--q-per-item", "3",
+                                      "--questions", str(run_dir / "questions.jsonl")]) == 0
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    keys = {(it["story_id"], it["index"]) for it in manifest["items"]}
+    question_ids = {qid for it in manifest["items"] for qid in it["question_ids"]}
+    restricted = flags + ["--manifest", str(run_dir / "manifest.json"),
+                          "--questions", str(run_dir / "questions.jsonl"), "--run-id", "m"]
+    assert main(["ruler"] + restricted) == 0
+    assert main(["verse", "grade"] + restricted) == 0
+    _, cards = read_artifact(tmp_path / "out" / "m" / "scorecards.jsonl")
+    assert Counter((c["story_id"], c["index"]) for c in cards) == {k: 2 for k in keys}
+    _, grades = read_artifact(tmp_path / "out" / "m" / "grades.jsonl")
+    assert Counter(g["question_id"] for g in grades) == {q: 2 for q in question_ids}
+    capsys.readouterr()
+    assert main(["validate"] + restricted) == 0
+    assert json.loads(capsys.readouterr().out)["candidates"] == {"alpha": 1.0, "beta": 1.0}
 
 
 def test_ruler_run_and_cache_resume(tmp_path):
@@ -430,6 +454,59 @@ def test_verse_classify_keeps_failed_questions_for_a_rerun(tmp_path):
     )
     summary = json.loads((run_dir / "verse_classify_summary.json").read_text())
     assert (summary["items_failed"], summary["backend_calls"], summary["classified"]) == (0, 1, 90)
+
+
+def test_verse_classify_asks_a_fixed_script_again(tmp_path):
+    """Unmappable answers are cached like any other; the fixed script's answers
+    have keys of their own, so the rerun is not served the cached bad ones."""
+    flags = common_flags(tmp_path)
+    run_dir = tmp_path / "out" / "run1"
+    assert main(["verse", "gen"] + flags) == 0
+    script = json.loads((FIXTURES / "mock_script.json").read_text(encoding="utf-8"))
+    for rule in script["rules"]:
+        if "rendered consistently" in rule["contains"]:
+            rule["response"] = "Miscellaneous"
+    misc = tmp_path / "misc_script.json"
+    misc.write_text(json.dumps(script), encoding="utf-8")
+    misc_flags = list(flags)
+    misc_flags[misc_flags.index("--script") + 1] = str(misc)
+
+    assert main(["verse", "classify"] + misc_flags) == 0
+    summary = json.loads((run_dir / "verse_classify_summary.json").read_text())
+    assert (summary["items_failed"], summary["classified"]) == (10, 80)
+    assert {f["error"] for f in summary["failures"]} == {"UnmappableCategory"}
+
+    assert main(["verse", "classify"] + flags) == 0
+    summary = json.loads((run_dir / "verse_classify_summary.json").read_text())
+    assert (summary["items_failed"], summary["backend_calls"], summary["classified"]) == (0, 1, 90)
+
+
+def test_fingerprint_covers_every_common_flag_that_changes_output():
+    operational = {"config", "jobs", "out", "run_id", "cache_dir", "timeout", "max_retries",
+                   "api_key_env"}
+    parser, _ = build_parser()
+    base = vars(parser.parse_args(["ruler"]))
+    common = argparse.ArgumentParser(add_help=False)
+    _add_common(common)
+    for action in common._actions:
+        if action.nargs == 0:
+            value = not action.default
+        elif action.choices:
+            value = next(c for c in action.choices if c != action.default)
+        elif action.nargs == "*":
+            value = ["x.jsonl"]
+        elif action.type in (int, float):
+            value = action.default + 1
+        else:
+            value = "x.jsonl"
+        changed = argparse.Namespace(**{**base, action.dest: value})
+        moved = config_fingerprint(changed) != config_fingerprint(argparse.Namespace(**base))
+        assert moved == (action.dest not in operational), action.dest
+    # the value the hand-kept field list gave, so existing run ids stay
+    args = parser.parse_args(["ruler", "--corpus", "c.jsonl", "--candidates", "b.jsonl",
+                              "a.jsonl", "--cot", "--jobs", "2"])
+    assert config_fingerprint(args) == (
+        "40ae6d05299b6314fba801bff298a81110335cdcf9bc11661909a4f60a403b49")
 
 
 STAGES = {

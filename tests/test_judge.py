@@ -309,14 +309,18 @@ def test_live_unexpected_error_is_not_retried(tmp_path):
 
 
 class _StubHandler(BaseHTTPRequestHandler):
-    """Answers each POST with the next (status, body) of the server's script."""
+    """Answers each POST, after the server's `delay` in seconds, with the next
+    (status, body) or (status, body, headers) of the server's script."""
 
     def do_POST(self):
         self.rfile.read(int(self.headers["Content-Length"]))
         self.server.seen += 1
-        status, body = self.server.script[min(self.server.seen, len(self.server.script)) - 1]
+        status, body, *headers = self.server.script[min(self.server.seen, len(self.server.script)) - 1]
+        time.sleep(self.server.delay)
         data = body.encode("utf-8")
         self.send_response(status)
+        for name, value in (headers[0] if headers else {}).items():
+            self.send_header(name, value)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
@@ -329,7 +333,7 @@ class _StubHandler(BaseHTTPRequestHandler):
 @pytest.fixture
 def stub():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
-    server.seen, server.script = 0, []
+    server.seen, server.script, server.delay = 0, [], 0.0
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield server
@@ -337,9 +341,13 @@ def stub():
     server.server_close()
 
 
+def _stub_url(server) -> str:
+    return f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
+
+
 def _stub_judge(tmp_path, server):
     config = _live_config(tmp_path, retries=2)
-    config.endpoint = f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
+    config.endpoint = _stub_url(server)
     config.timeout = 5.0
     judge = Judge(config)
     judge._sleep = lambda seconds: None
@@ -379,14 +387,59 @@ def test_connection_refused_is_retried(tmp_path, stub):
         judge.complete(JudgeRequest("s", "u"))
 
 
-def test_importing_the_cli_leaves_requests_out():
-    src = str(Path(rulerverse.__file__).resolve().parents[1])
-    code = "import sys, rulerverse.cli; print('requests' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env={"PYTHONPATH": src},
+@pytest.mark.parametrize(
+    "retry_after, slept",
+    [
+        ("7", [7.0, 7.0]),
+        ("3600", [60.0, 60.0]),  # capped at RETRY_AFTER_MAX_S
+        ("Wed, 21 Oct 2015 07:28:00 GMT", [1.0, 2.0]),  # only delay-seconds is read
+        ("-5", [1.0, 2.0]),
+    ],
+)
+def test_retry_after_sets_the_backoff(tmp_path, stub, retry_after, slept):
+    stub.script = [(503, "{}", {"Retry-After": retry_after}),
+                   (429, "{}", {"Retry-After": retry_after}), (200, OK_BODY)]
+    judge = _stub_judge(tmp_path, stub)
+    sleeps = []
+    judge._sleep = sleeps.append
+    assert judge.complete(JudgeRequest("s", "u")).text == "Score: 4"
+    assert sleeps == slept
+
+
+def test_answer_slower_than_the_timeout_is_retried(tmp_path, stub):
+    stub.script, stub.delay = [(200, OK_BODY)], 0.5
+    judge = _stub_judge(tmp_path, stub)
+    judge.config.timeout = 0.1
+    with pytest.raises(TransportExhausted, match="TimeoutError"):
+        judge.complete(JudgeRequest("s", "u"))
+    assert stub.seen == judge.config.max_retries + 1
+
+
+def _src_env() -> dict[str, str]:
+    return {"PYTHONPATH": str(Path(rulerverse.__file__).resolve().parents[1])}
+
+
+def test_live_transport_needs_no_third_party_package(tmp_path, stub):
+    stub.script = [(200, OK_BODY)]
+    code = (
+        "import sys; sys.modules['requests'] = None\n"
+        "from rulerverse.judge import Judge, JudgeConfig, JudgeRequest\n"
+        f"judge = Judge(JudgeConfig(backend='live', model_id='m', endpoint={_stub_url(stub)!r}))\n"
+        "print(judge.complete(JudgeRequest('s', 'u')).text)\n"
     )
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=_src_env(), timeout=60)
+    assert (out.returncode, out.stdout.strip()) == (0, "Score: 4"), out.stderr
+    assert stub.seen == 1
+
+
+def test_importing_the_cli_leaves_requests_out():
+    modules = ["requests", "urllib.request", "http.client", "ssl"]
+    code = f"import sys, rulerverse.cli; print([m for m in {modules!r} if m in sys.modules])"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=_src_env(),
+    )
+    assert out.stdout.strip() == "[]"
 
 
 # -- the stage runner --
