@@ -8,6 +8,7 @@ audited later, and nothing is ever evicted automatically.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -225,6 +226,17 @@ class _Inline(threading.local):
     hits = 0
 
 
+@functools.cache
+def _opener():
+    """urllib's default opener (proxy variables, TLS verification) with redirects
+    refused: following one would carry the Authorization header to its Location."""
+    import urllib.request
+    class RefuseRedirect(urllib.request.HTTPRedirectHandler):
+        def redirect_request(self, *args, **kwargs):
+            return None  # the default error handler then raises the 3xx as an HTTPError
+    return urllib.request.build_opener(RefuseRedirect)
+
+
 class Judge:
     """Thread-safe completion client; share one instance across workers."""
 
@@ -370,15 +382,13 @@ class Judge:
         # a request with a body is a POST
         request = urllib.request.Request(self.config.endpoint, json.dumps(payload).encode(), headers)
         try:
-            with urllib.request.urlopen(request, timeout=self.config.timeout) as resp:
+            with _opener().open(request, timeout=self.config.timeout) as resp:
                 status, body = resp.status, resp.read()
         except urllib.error.HTTPError as exc:
             exc.close()
             retry_after = (exc.headers.get("Retry-After") or "").strip()
-            raise BackendResponseError(
-                exc.code, exc.reason or "",
-                float(retry_after) if retry_after.isascii() and retry_after.isdigit() else None,
-            ) from None
+            delay = float(retry_after) if retry_after.isascii() and retry_after.isdigit() else None
+            raise BackendResponseError(exc.code, exc.reason or "", delay) from None
         except urllib.error.URLError as exc:
             if isinstance(exc.reason, TimeoutError):
                 raise TimeoutError(str(exc.reason)) from exc
@@ -397,13 +407,8 @@ class Judge:
         """Retries connection errors, timeouts, 429 and 5xx; fails at once on
         anything else.  The backoff is `2 ** attempt` seconds, or the answer's
         Retry-After up to RETRY_AFTER_MAX_S; backoff sleeps hold no concurrency slot."""
-        payload: dict[str, Any] = {
-            "model": self.config.model_id,
-            "messages": [
-                {"role": "system", "content": system_text},
-                {"role": "user", "content": user_text},
-            ],
-        }
+        messages = [{"role": "system", "content": system_text}, {"role": "user", "content": user_text}]
+        payload: dict[str, Any] = {"model": self.config.model_id, "messages": messages}
         if temperature is not None:
             payload["temperature"] = temperature
         attempts = self.config.max_retries + 1

@@ -310,11 +310,13 @@ def test_live_unexpected_error_is_not_retried(tmp_path):
 
 class _StubHandler(BaseHTTPRequestHandler):
     """Answers each POST, after the server's `delay` in seconds, with the next
-    (status, body) or (status, body, headers) of the server's script."""
+    (status, body) or (status, body, headers) of the server's script, and
+    records each request's Authorization header."""
 
     def do_POST(self):
-        self.rfile.read(int(self.headers["Content-Length"]))
+        self.rfile.read(int(self.headers.get("Content-Length", 0)))
         self.server.seen += 1
+        self.server.auth.append(self.headers.get("Authorization"))
         status, body, *headers = self.server.script[min(self.server.seen, len(self.server.script)) - 1]
         time.sleep(self.server.delay)
         data = body.encode("utf-8")
@@ -326,16 +328,22 @@ class _StubHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(data)
 
+    do_GET = do_POST
+
     def log_message(self, *args):
         pass
 
 
+def _serve_stub():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
+    server.seen, server.script, server.delay, server.auth = 0, [], 0.0, []
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    return server
+
+
 @pytest.fixture
 def stub():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
-    server.seen, server.script, server.delay = 0, [], 0.0
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    server = _serve_stub()
     yield server
     server.shutdown()
     server.server_close()
@@ -415,8 +423,29 @@ def test_answer_slower_than_the_timeout_is_retried(tmp_path, stub):
     assert stub.seen == judge.config.max_retries + 1
 
 
+@pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+def test_redirect_is_refused_and_keeps_the_key_at_home(tmp_path, stub, monkeypatch, status):
+    elsewhere = _serve_stub()
+    try:
+        elsewhere.script = [(200, OK_BODY)]
+        stub.script = [(status, "{}", {"Location": _stub_url(elsewhere)})]
+        monkeypatch.setenv("JUDGE_API_KEY", "secret")
+        judge = _stub_judge(tmp_path, stub)
+        with pytest.raises(BackendResponseError) as caught:
+            judge.complete(JudgeRequest("s", "u"))
+        assert caught.value.status == status
+        assert stub.auth == ["Bearer secret"]
+        assert (elsewhere.seen, elsewhere.auth) == (0, [])
+    finally:
+        elsewhere.shutdown()
+        elsewhere.server_close()
+
+
 def _src_env() -> dict[str, str]:
-    return {"PYTHONPATH": str(Path(rulerverse.__file__).resolve().parents[1])}
+    """The child sees only the source tree: no proxy variables, and no bytecode
+    written into the checkout."""
+    return {"PYTHONPATH": str(Path(rulerverse.__file__).resolve().parents[1]),
+            "PYTHONDONTWRITEBYTECODE": "1"}
 
 
 def test_live_transport_needs_no_third_party_package(tmp_path, stub):
@@ -662,12 +691,8 @@ def test_torn_last_line_is_skipped_and_terminated(tmp_path):
         CompletionLog(tmp_path / "cache").get("f" * 64)
 
 
-_SRC = str(Path(rulerverse.__file__).resolve().parents[1])
-
-
 def _python(code, *args):
-    return subprocess.Popen([sys.executable, "-c", code, *map(str, args)],
-                            env={"PYTHONPATH": _SRC})
+    return subprocess.Popen([sys.executable, "-c", code, *map(str, args)], env=_src_env())
 
 
 def test_two_writer_processes_lose_no_entry(tmp_path):
