@@ -74,6 +74,11 @@ def read_artifact(path: Path) -> tuple[dict, list[dict]]:
     return meta, records
 
 
+def read_questions(path: Path) -> tuple[dict, list[verse.VerseQuestion]]:
+    meta, records = read_artifact(path)
+    return meta, [verse.question_from_record(r, str(path)) for r in records]
+
+
 def write_json(path: Path, payload: dict) -> None:
     corpus_mod.write_atomic(
         path, json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
@@ -114,6 +119,8 @@ class RunContext:
 
     def judge(self) -> Judge:
         args = self.args
+        if args.backend == "mock" and not args.script:
+            raise EvalError("--script is required for the mock backend")
         cache_dir = args.cache_dir or str(Path(args.out) / "judge_cache")
         config = JudgeConfig(
             backend=args.backend,
@@ -147,8 +154,8 @@ class RunContext:
     def manifest(self) -> SampleManifest | None:
         if not self.args.manifest:
             return None
-        data = json.loads(Path(self.args.manifest).read_text(encoding="utf-8"))
-        return SampleManifest.from_dict(data)
+        path = self.args.manifest
+        return SampleManifest.from_dict(corpus_mod.read_json(path), str(path))
 
     def meta(self, judge: Judge | None = None, options: PromptOptions | None = None) -> dict:
         meta: dict[str, Any] = {"fingerprint": self.fingerprint, "run_id": self.run_id}
@@ -208,8 +215,7 @@ def cmd_sample(ctx: RunContext) -> int:
     story_ids = ctx.args.sample_stories or corpus.story_ids()
     questions = None
     if ctx.args.questions:
-        _, records = read_artifact(Path(ctx.args.questions))
-        questions = [verse.question_from_record(r) for r in records]
+        _, questions = read_questions(Path(ctx.args.questions))
     systems = ctx.args.systems or None
     manifest = corpus_mod.sample_items(
         corpus,
@@ -328,8 +334,7 @@ def _questions_path(ctx: RunContext) -> Path:
 
 def cmd_verse_classify(ctx: RunContext) -> int:
     path = _questions_path(ctx)
-    meta, records = read_artifact(path)
-    questions = [verse.question_from_record(r) for r in records]
+    meta, questions = read_questions(path)
     judge = ctx.judge()
 
     def work(q: verse.VerseQuestion):
@@ -357,8 +362,7 @@ def cmd_verse_classify(ctx: RunContext) -> int:
 def cmd_verse_grade(ctx: RunContext) -> int:
     corpus = ctx.load_corpus()
     candidate_sets = ctx.load_candidates(corpus)
-    q_meta, records = read_artifact(_questions_path(ctx))
-    questions = [verse.question_from_record(r) for r in records]
+    _, questions = read_questions(_questions_path(ctx))
     unclassified = [q.question_id for q in questions if q.category is None]
     if unclassified:
         raise UnclassifiedQuestion(
@@ -462,9 +466,9 @@ def cmd_agree(ctx: RunContext) -> int:
             cross = list(metrics.rater_pairs(raters, model[channel]))
             versus = metrics.classify_pairs(cross, label_set)
             payload["human_vs_model"] = {
-                "tau": metrics.mean_over_pairs(cross, metrics.kendall_tau_b).mean,
-                "rho": metrics.mean_over_pairs(cross, metrics.spearman_rho).mean,
-                "mse": metrics.mean_over_pairs(cross, metrics.mse).mean,
+                "tau": metrics.mean_over_pairs(cross, metrics.kendall_tau_b)[0],
+                "rho": metrics.mean_over_pairs(cross, metrics.spearman_rho)[0],
+                "mse": metrics.mean_over_pairs(cross, metrics.mse)[0],
                 "mean_accuracy": versus.mean_accuracy,
                 "mean_per_label_f1": {str(k): v for k, v in versus.mean_per_label_f1.items()},
             }
@@ -494,23 +498,14 @@ def _check_fingerprints(metas: dict[str, dict]) -> str:
     return next(iter(distinct), "")
 
 
-def _score_series(
-    systems: Sequence[str],
-    questions: Sequence[verse.VerseQuestion],
-    grades: Sequence[verse.VerseGrade],
-    mapping: str,
-    axis_min: float,
-) -> list[tuple[str, list[float]]]:
-    """Radar series of mean grade percentages per category, one per system
-    with grades; a category without grades sits at `axis_min`."""
-    series = []
-    for system in systems:
-        system_grades = [g for g in grades if g.system_id == system]
-        if system_grades:
-            aggregates = verse.aggregate_categories(questions, system_grades, mapping)
-            means = (aggregates[c].mean_score_percent for c in verse.CATEGORIES)
-            series.append((system, [axis_min if m is None else m for m in means]))
-    return series
+def _radar_series(table: report.AggregateTable, axis_min: float) -> list[tuple[str, list[float]]]:
+    """Radar series of the table's category means, one per system with grades;
+    a category without grades sits at `axis_min`."""
+    return [
+        (system, [axis_min if cell.value is None else cell.value
+                  for cell in (table.verse_categories[system][c] for c in verse.CATEGORIES)])
+        for system in table.systems if table.verse_mean[system].n > 0
+    ]
 
 
 def cmd_report(ctx: RunContext) -> int:
@@ -527,9 +522,7 @@ def cmd_report(ctx: RunContext) -> int:
         metas["scorecards"] = meta
         scorecards = [ruler.scorecard_from_record(r) for r in records]
     if questions_path.exists():
-        meta, records = read_artifact(questions_path)
-        metas["questions"] = meta
-        questions = [verse.question_from_record(r) for r in records]
+        metas["questions"], questions = read_questions(questions_path)
     if grades_path.exists():
         meta, records = read_artifact(grades_path)
         metas["grades"] = meta
@@ -560,8 +553,8 @@ def cmd_report(ctx: RunContext) -> int:
 
     axis_min = ctx.args.axis_min
     if grades:
-        series = _score_series(table.systems, questions, grades, ctx.args.mapping, axis_min)
-        svg = report.radar_svg(list(verse.CATEGORIES), series, axis_min=axis_min)
+        svg = report.radar_svg(list(verse.CATEGORIES), _radar_series(table, axis_min),
+                               axis_min=axis_min)
         corpus_mod.write_atomic(ctx.out_dir / "radar_scores.svg", svg)
     if questions:
         share_series = []
@@ -578,11 +571,12 @@ def cmd_report(ctx: RunContext) -> int:
             story_questions = [q for q in questions if q.story_id == story_id]
             story_qids = {q.question_id for q in story_questions}
             story_grades = [g for g in grades if g.question_id in story_qids]
-            series = _score_series(
-                table.systems, story_questions, story_grades, ctx.args.mapping, axis_min
-            )
-            if series:
-                svg = report.radar_svg(list(verse.CATEGORIES), series, axis_min=axis_min)
+            if story_grades:
+                story_table = report.aggregate_table(
+                    [], story_grades, story_questions, ctx.args.mapping
+                )
+                svg = report.radar_svg(list(verse.CATEGORIES), _radar_series(story_table, axis_min),
+                                       axis_min=axis_min)
                 name = f"radar_scores_{_sanitize(story_id)}.svg"
                 corpus_mod.write_atomic(ctx.out_dir / name, svg)
 
@@ -702,9 +696,7 @@ def _apply_config_file(argv: list[str], parser: argparse.ArgumentParser, leaves:
     known, _ = probe.parse_known_args(argv)
     if not known.config:
         return
-    data = json.loads(Path(known.config).read_text(encoding="utf-8"))
-    if not isinstance(data, dict):
-        raise EvalError("config file must hold a JSON object of flag values")
+    data = corpus_mod.read_json(known.config)
     valid = set()
     for p in leaves:
         valid.update(a.dest for a in p._actions)
@@ -731,6 +723,16 @@ VERSE_COMMANDS = {
 }
 
 
+# flags with a range that argparse does not check: dest, the range in words, the check
+FLAG_RANGES = [
+    *((name, f"an integer >= {low}", lambda v, low=low: isinstance(v, int) and v >= low)
+      for name, low in (("jobs", 1), ("max_retries", 0), ("reference_index", 0),
+                        ("n_questions", 1), ("shots", 0), ("n_per_story", 1), ("q_per_item", 0))),
+    ("timeout", "a number > 0", lambda v: isinstance(v, (int, float)) and v > 0),
+    ("axis_min", "a number in [0, 100)", lambda v: isinstance(v, (int, float)) and 0 <= v < 100),
+]
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
@@ -738,18 +740,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         _apply_config_file(argv, parser, leaves)
         args = parser.parse_args(argv)
-        for name, low in ("jobs", 1), ("max_retries", 0), ("reference_index", 0), ("n_questions", 1):
-            value, flag = getattr(args, name, low), "--" + name.replace("_", "-")
-            if not isinstance(value, int) or value < low:
-                parser.error(f"{flag} must be an integer >= {low}, got {value!r}")
+        for name, wanted, ok in FLAG_RANGES:
+            if hasattr(args, name) and not ok(getattr(args, name)):
+                flag = "--" + name.replace("_", "-")
+                parser.error(f"{flag} must be {wanted}, got {getattr(args, name)!r}")
         ctx = RunContext(args)
         if args.command == "verse":
             handler = VERSE_COMMANDS[args.verse_command]
         else:
             handler = COMMANDS[args.command]
         return handler(ctx)
-    except EvalError as exc:
-        print(json.dumps(exc.payload(), sort_keys=True), file=sys.stderr)
+    except (EvalError, OSError) as exc:  # OSError: a missing or unreadable file
+        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}, sort_keys=True),
+              file=sys.stderr)
         return 1
 
 

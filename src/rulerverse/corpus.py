@@ -169,6 +169,17 @@ def read_jsonl(path: Path | str) -> Iterator[tuple[int, dict]]:
             yield lineno, record
 
 
+def read_json(path: Path | str) -> dict:
+    """The JSON object that the file at `path` holds."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise CorpusFormatError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(data, dict):
+        raise CorpusFormatError(f"{path}: must hold a JSON object")
+    return data
+
+
 def write_atomic(path: Path | str, data: str | bytes) -> None:
     """Replace `path` with `data` through a temporary file and a rename, so no
     reader ever sees a partial file.
@@ -205,6 +216,22 @@ def _require(record: dict, key: str, where: str) -> Any:
     return record[key]
 
 
+def _story_id(record: dict, where: str) -> str:
+    story_id = _require(record, "story_id", where)
+    if not isinstance(story_id, str) or not story_id:
+        raise CorpusFormatError(f"{where}: story_id must be a nonempty string")
+    return story_id
+
+
+def _item_key(record: dict, where: str) -> tuple[str, int]:
+    """The record's checked (story_id, index)."""
+    story_id = _story_id(record, where)
+    index = _require(record, "index", where)
+    if not isinstance(index, int) or isinstance(index, bool) or index < 0:
+        raise CorpusFormatError(f"{where}: index must be a non-negative integer")
+    return story_id, index
+
+
 def _nonempty_text(value: Any, what: str, where: str) -> str:
     if not isinstance(value, str):
         raise CorpusFormatError(f"{where}: {what} must be a string")
@@ -221,12 +248,7 @@ def load_corpus(paragraphs_path: Path | str, stories_path: Path | str | None = N
     seen: set[tuple[str, int]] = set()
     for lineno, record in read_jsonl(paragraphs_path):
         where = f"{paragraphs_path}:{lineno}"
-        story_id = _require(record, "story_id", where)
-        if not isinstance(story_id, str) or not story_id:
-            raise CorpusFormatError(f"{where}: story_id must be a nonempty string")
-        index = _require(record, "index", where)
-        if not isinstance(index, int) or isinstance(index, bool) or index < 0:
-            raise CorpusFormatError(f"{where}: index must be a non-negative integer")
+        story_id, index = key = _item_key(record, where)
         source = _nonempty_text(_require(record, "source_text", where), "source_text", where)
         refs = _require(record, "references", where)
         if not isinstance(refs, list) or len(refs) == 0:
@@ -237,7 +259,6 @@ def load_corpus(paragraphs_path: Path | str, stories_path: Path | str | None = N
         has_dialogue = record.get("has_dialogue")
         if has_dialogue is not None and not isinstance(has_dialogue, bool):
             raise CorpusFormatError(f"{where}: has_dialogue must be a boolean")
-        key = (story_id, index)
         if key in seen:
             raise DuplicateItem(f"{where}: duplicate paragraph ({story_id!r}, {index})")
         seen.add(key)
@@ -258,7 +279,7 @@ def load_corpus(paragraphs_path: Path | str, stories_path: Path | str | None = N
     if stories_path is not None:
         for lineno, record in read_jsonl(stories_path):
             where = f"{stories_path}:{lineno}"
-            story_id = _require(record, "story_id", where)
+            story_id = _story_id(record, where)
             if story_id not in stories:
                 raise UnknownItem(f"{where}: metadata for unknown story {story_id!r}")
             if "summary" not in record:
@@ -310,7 +331,9 @@ def load_candidates(path: Path | str, corpus: Corpus) -> CandidateSet:
     for lineno, record in read_jsonl(path):
         where = f"{path}:{lineno}"
         if "_provenance" in record:
-            provenance = dict(record["_provenance"])
+            provenance = record["_provenance"]
+            if not isinstance(provenance, dict):
+                raise CorpusFormatError(f"{where}: _provenance must be an object")
             continue
         sid = _require(record, "system_id", where)
         if system_id is None:
@@ -319,12 +342,10 @@ def load_candidates(path: Path | str, corpus: Corpus) -> CandidateSet:
             raise CorpusFormatError(
                 f"{where}: mixed system ids in one candidate file ({system_id!r} vs {sid!r})"
             )
-        story_id = _require(record, "story_id", where)
-        index = _require(record, "index", where)
+        story_id, index = key = _item_key(record, where)
         if not corpus.has_pair(story_id, index):
             raise UnknownItem(f"{where}: candidate for unknown paragraph ({story_id!r}, {index})")
         text = _nonempty_text(_require(record, "text", where), "text", where)
-        key = (story_id, index)
         if key in translations:
             raise DuplicateItem(f"{where}: duplicate candidate for ({story_id!r}, {index})")
         translations[key] = text
@@ -349,15 +370,8 @@ def save_candidates(cands: CandidateSet, path: Path | str) -> None:
     write_jsonl(path, records)
 
 
-def load_annotations(
-    path: Path | str,
-    corpus: Corpus,
-    known_systems: Iterable[str] | None = None,
-    known_questions: Iterable[str] | None = None,
-) -> list[AnnotationRecord]:
+def load_annotations(path: Path | str, corpus: Corpus) -> list[AnnotationRecord]:
     """Load annotation records, rejecting dangling or out-of-range entries."""
-    systems = set(known_systems) if known_systems is not None else None
-    questions = set(known_questions) if known_questions is not None else None
     records: list[AnnotationRecord] = []
     seen: set[tuple[str, str, str]] = set()
     for lineno, record in read_jsonl(path):
@@ -373,19 +387,14 @@ def load_annotations(
         if not lo <= score <= hi:
             raise OutOfRange(score, lo, hi)
         system_id = str(_require(record, "system_id", where))
-        if systems is not None and system_id not in systems:
-            raise DanglingAnnotation(f"{where}: unknown system {system_id!r}")
         if channel == VERSE_CHANNEL:
             question_id = _require(record, "question_id", where)
-            if questions is not None and question_id not in questions:
-                raise DanglingAnnotation(f"{where}: unknown question {question_id!r}")
             ann = AnnotationRecord(
                 rater_id=rater_id, channel=channel, score=score,
                 system_id=system_id, question_id=question_id,
             )
         else:
-            story_id = _require(record, "story_id", where)
-            index = _require(record, "index", where)
+            story_id, index = _item_key(record, where)
             if not corpus.has_pair(story_id, index):
                 raise DanglingAnnotation(
                     f"{where}: annotation for unknown paragraph ({story_id!r}, {index})"
@@ -437,19 +446,21 @@ class SampleManifest:
         return [(it.story_id, it.index) for it in self.items]
 
     @classmethod
-    def from_dict(cls, data: dict) -> "SampleManifest":
+    def from_dict(cls, data: dict, where: str) -> "SampleManifest":
+        items = _require(data, "items", where)
+        if not isinstance(items, list) or not all(isinstance(d, dict) for d in items):
+            raise CorpusFormatError(f"{where}: items must be a list of objects")
         return cls(
-            seed=data["seed"],
-            n_per_story=data["n_per_story"],
-            q_per_item=data["q_per_item"],
+            seed=_require(data, "seed", where),
+            n_per_story=_require(data, "n_per_story", where),
+            q_per_item=_require(data, "q_per_item", where),
             items=[
                 SampleItem(
-                    story_id=d["story_id"],
-                    index=d["index"],
+                    *_item_key(d, f"{where}: items[{i}]"),
                     system_id=d.get("system_id"),
                     question_ids=tuple(d.get("question_ids", ())),
                 )
-                for d in data["items"]
+                for i, d in enumerate(items)
             ],
         )
 

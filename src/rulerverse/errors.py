@@ -5,14 +5,9 @@ CLI can turn any failure into a machine-readable payload and a nonzero exit.
 """
 from __future__ import annotations
 
-from typing import Any
-
 
 class EvalError(Exception):
     """Base class for all deliberate pipeline errors."""
-
-    def payload(self) -> dict[str, Any]:
-        return {"error": type(self).__name__, "message": str(self)}
 
 
 # -- corpus --

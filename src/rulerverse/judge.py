@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
+from .corpus import read_json
 from .errors import (BackendResponseError, CorpusFormatError, EmptyCompletion, MockScriptMiss,
                      TransportExhausted)
 
@@ -119,8 +120,10 @@ class MockScript:
     """
 
     def __init__(self, rules: list[dict], default: str | None = None, digest: str | None = None):
+        if not isinstance(rules, list):
+            raise CorpusFormatError("mock script: rules must be a list")
         for i, rule in enumerate(rules):
-            if "response" not in rule:
+            if not isinstance(rule, dict) or "response" not in rule:
                 raise CorpusFormatError(f"mock rule {i}: missing response")
             if not any(k in rule for k in ("contains", "regex", "hash")):
                 raise CorpusFormatError(f"mock rule {i}: needs contains, regex, or hash")
@@ -130,10 +133,9 @@ class MockScript:
 
     @classmethod
     def load(cls, path: Path | str) -> "MockScript":
-        raw = Path(path).read_bytes()
-        data = json.loads(raw.decode("utf-8"))
+        data = read_json(path)
         return cls(rules=data.get("rules", []), default=data.get("default"),
-                   digest=hashlib.sha256(raw).hexdigest())
+                   digest=hashlib.sha256(Path(path).read_bytes()).hexdigest())
 
     def respond(self, system_text: str, user_text: str) -> str:
         combined = f"{system_text}\n\n{user_text}"

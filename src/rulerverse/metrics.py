@@ -28,10 +28,9 @@ Number = int | float
 class RatingVector:
     """One rater's scores over named items.
 
-    `ids` must be unique.  A None score marks an item the rater skipped; the
-    paired statistics below require fully observed, identically ordered
-    vectors, so use `common_items` (or `rater_pairs`) to align raters
-    first.
+    `ids` must be unique.  A None score marks an item the rater skipped.  The
+    paired statistics below take two fully observed score lists of equal
+    length; `common_items` (or `rater_pairs`) aligns two raters into them.
     """
 
     ids: tuple[str, ...]
@@ -55,13 +54,8 @@ class RatingVector:
 
 
 def _paired(x, y, min_len: int) -> tuple[list[Number], list[Number]]:
-    """Coerce two inputs (RatingVector or plain sequence) to aligned score lists."""
-    if isinstance(x, RatingVector) and isinstance(y, RatingVector):
-        if x.ids != y.ids:
-            raise LengthMismatch("rating vectors carry different item id orders")
-        xs, ys = list(x.scores), list(y.scores)
-    else:
-        xs, ys = list(x), list(y)
+    """Two score sequences as lists, checked to pair up item for item."""
+    xs, ys = list(x), list(y)
     if len(xs) != len(ys):
         raise LengthMismatch(f"{len(xs)} vs {len(ys)} items")
     if len(xs) < min_len:
@@ -279,7 +273,6 @@ class ClassificationReport:
     label_order: tuple
     per_label: dict
     accuracy: float
-    macro_f1: float
     confusion: dict  # confusion[gold][pred] -> count
     n_items: int
 
@@ -328,10 +321,9 @@ def per_label_prf(gold: Sequence, pred: Sequence, label_set: Sequence) -> Classi
 
     n = len(gold)
     accuracy = sum(confusion[label][label] for label in labels) / n
-    macro_f1 = sum(stats.f1 for stats in per_label.values()) / len(labels)
     return ClassificationReport(
         label_order=labels, per_label=per_label, accuracy=accuracy,
-        macro_f1=macro_f1, confusion=confusion, n_items=n,
+        confusion=confusion, n_items=n,
     )
 
 
@@ -364,27 +356,13 @@ def rater_pairs(
         yield a.rater_id, b.rater_id, xs, ys
 
 
-@dataclass(frozen=True)
-class PairResult:
-    rater_a: str
-    rater_b: str
-    n_common: int
-    value: float | None
-
-
-@dataclass
-class PairwiseResult:
-    pairs: list[PairResult]
-    mean: float | None
-    n_skipped: int  # pairs whose metric was undefined
-
-
-def mean_over_pairs(pairs: Iterable[AlignedPair], metric: PairedMetric) -> PairwiseResult:
-    """Mean of a paired metric over aligned rater pairs, skipping undefined values."""
-    results = [PairResult(a, b, len(xs), metric(xs, ys)) for a, b, xs, ys in pairs]
-    defined = [p.value for p in results if p.value is not None]
+def mean_over_pairs(pairs: Iterable[AlignedPair], metric: PairedMetric) -> tuple[float | None, int]:
+    """(mean, skipped): the mean of a paired metric over aligned rater pairs,
+    and how many pairs it skipped because the metric was undefined for them."""
+    values = [metric(xs, ys) for _, _, xs, ys in pairs]
+    defined = [v for v in values if v is not None]
     mean = sum(defined) / len(defined) if defined else None
-    return PairwiseResult(pairs=results, mean=mean, n_skipped=len(results) - len(defined))
+    return mean, len(values) - len(defined)
 
 
 @dataclass
@@ -421,23 +399,17 @@ def compute_agreement(
     """
     if pairs is None:
         pairs = list(rater_pairs(raters))
-    tau_result = mean_over_pairs(pairs, kendall_tau_b)
-    rho_result = mean_over_pairs(pairs, spearman_rho)
-    mse_result = mean_over_pairs(pairs, mse)
-    alpha = krippendorff_alpha(rating_matrix(raters), level=level)
-    n_items = len({i for r in raters for i in r.ids})
+    tau, tau_skipped = mean_over_pairs(pairs, kendall_tau_b)
+    rho, rho_skipped = mean_over_pairs(pairs, spearman_rho)
+    mse_mean, mse_skipped = mean_over_pairs(pairs, mse)
     return AgreementReport(
-        tau=tau_result.mean,
-        rho=rho_result.mean,
-        mse=mse_result.mean,
-        alpha=alpha,
-        n_items=n_items,
+        tau=tau,
+        rho=rho,
+        mse=mse_mean,
+        alpha=krippendorff_alpha(rating_matrix(raters), level=level),
+        n_items=len({i for r in raters for i in r.ids}),
         n_raters=len(raters),
-        skipped_pairs={
-            "tau": tau_result.n_skipped,
-            "rho": rho_result.n_skipped,
-            "mse": mse_result.n_skipped,
-        },
+        skipped_pairs={"tau": tau_skipped, "rho": rho_skipped, "mse": mse_skipped},
     )
 
 

@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ChartError, EmptyRun, OutOfRange
+from .errors import ChartError, CorpusFormatError, EmptyRun, OutOfRange
 from .metrics import AgreementReport, ClassificationReport
 from .ruler import Criterion, RubricScorecard
 from .scales import MAPPINGS, RULER_SCALE, VERSE_SCALE, ScoreScale, to_percentage
@@ -127,7 +127,13 @@ def append_baseline_columns(table: AggregateTable, rows: Iterable[Mapping[str, s
         for column, value in row.items():
             if column == "system_id" or value in (None, ""):
                 continue
-            table.extra_columns.setdefault(column, {})[system] = float(value)
+            try:
+                number = float(value)
+            except (TypeError, ValueError):  # TypeError: a row with more cells than the header
+                raise CorpusFormatError(
+                    f"baseline column {column!r}, system {system!r}: {value!r} is not a number"
+                ) from None
+            table.extra_columns.setdefault(column, {})[system] = number
 
 
 def _fmt(value: float | None, digits: int = 2) -> str:

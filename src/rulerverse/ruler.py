@@ -11,13 +11,13 @@ import hashlib
 import json
 import logging
 import re
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import CandidateSet, Corpus, ParagraphPair, read_jsonl
+from .corpus import CandidateSet, Corpus, ParagraphPair, _require, read_json, read_jsonl
 from .errors import (
     CorpusFormatError,
     EmptyCandidate,
@@ -78,8 +78,7 @@ class RubricSet:
 
 def load_rubric(path: Path | str) -> RubricSet:
     """Read a rubric data file: {"criteria": {channel: {preamble, levels}}}."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return _rubric_from_dict(data, str(path))
+    return _rubric_from_dict(read_json(path), str(path))
 
 
 def bundled_rubric() -> RubricSet:
@@ -97,7 +96,13 @@ def _rubric_from_dict(data: dict, where: str) -> RubricSet:
         entry = raw.get(criterion.value)
         if entry is None:
             continue
-        levels = {int(k): str(v) for k, v in entry.get("levels", {}).items()}
+        levels = entry.get("levels", {}) if isinstance(entry, dict) else None
+        if not isinstance(levels, dict):
+            raise CorpusFormatError(f"{where}: {criterion.value} needs a 'levels' object")
+        try:
+            levels = {int(k): str(v) for k, v in levels.items()}
+        except ValueError:
+            raise CorpusFormatError(f"{where}: {criterion.value} levels must be integers") from None
         criteria[criterion] = CriterionRubric(
             preamble=str(entry.get("preamble", "")), levels=levels
         )
@@ -152,8 +157,8 @@ def load_example_bank(path: Path | str) -> list[ScoredExample]:
             ScoredExample(
                 story_id=str(record.get("story_id", "")),
                 criterion=criterion,
-                source_text=str(record["source_text"]),
-                candidate_text=str(record["candidate_text"]),
+                source_text=str(_require(record, "source_text", where)),
+                candidate_text=str(_require(record, "candidate_text", where)),
                 score=score,
                 reference_text=str(record.get("reference_text", "")),
             )
@@ -267,12 +272,6 @@ def parse_score(response_text: str, lo: int, hi: int) -> int:
     return value
 
 
-def strip_score_lines(response_text: str) -> str:
-    """The response without its "Score: N" lines: the judge's reasoning."""
-    kept = [ln for ln in response_text.splitlines() if not _SCORE_LINE.match(ln)]
-    return "\n".join(kept).strip()
-
-
 def parse_likert_score(response_text: str) -> int:
     """Extract the 1..5 score; the last conforming line wins.
 
@@ -288,8 +287,6 @@ class RubricScorecard:
     story_id: str
     index: int
     scores: dict[Criterion, int]
-    rationales: dict[Criterion, str] = field(default_factory=dict)
-    raw_responses: dict[Criterion, str] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -343,30 +340,17 @@ def score_candidate(
         candidate_text = candidates.translations[(pair.story_id, pair.index)]
         summary = corpus.story(pair.story_id).summary
         scores: dict[Criterion, int] = {}
-        rationales: dict[Criterion, str] = {}
-        raw: dict[Criterion, str] = {}
         for criterion in CRITERIA:
             try:
                 request = build_ruler_prompt(
                     criterion, pair, candidate_text, rubric, summary, options, shots
                 )
-                response = judge.complete(request)
-                scores[criterion] = parse_likert_score(response.text)
-                raw[criterion] = response.text
-                if options.use_cot:
-                    rationales[criterion] = strip_score_lines(response.text)
+                scores[criterion] = parse_likert_score(judge.complete(request).text)
             except EvalError as exc:
                 return ItemFailure.of(
                     exc, f"ruler:{criterion.value}", pair.story_id, pair.index, system_id
                 )
-        return RubricScorecard(
-            system_id=system_id,
-            story_id=pair.story_id,
-            index=pair.index,
-            scores=scores,
-            rationales=rationales,
-            raw_responses=raw,
-        )
+        return RubricScorecard(system_id, pair.story_id, pair.index, scores)
 
     result = RulerRunResult(*split_failures(judge.map(work, pairs)))
     if result.failures:

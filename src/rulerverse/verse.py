@@ -12,7 +12,7 @@ import re
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
-from .corpus import ParagraphPair
+from .corpus import ParagraphPair, _require
 from .errors import (
     EmptyCandidate,
     NoQuestionsParsed,
@@ -21,7 +21,7 @@ from .errors import (
     UnmappableCategory,
 )
 from .judge import Judge, JudgeRequest
-from .ruler import SYSTEM_TEXT, PromptOptions, judged_sections, parse_score, strip_score_lines
+from .ruler import SYSTEM_TEXT, PromptOptions, judged_sections, parse_score
 from .scales import VERSE_SCALE, to_percentage
 
 log = logging.getLogger(__name__)
@@ -56,8 +56,6 @@ class VerseGrade:
     question_id: str
     system_id: str
     score: int
-    rationale: str | None = None
-    raw_response: str = ""
 
 
 # -- generation --
@@ -217,16 +215,8 @@ def grade_question(
 ) -> VerseGrade:
     """Grade one candidate against one question on the 1..3 scale."""
     request = build_grading_prompt(question, pair, candidate_text, options, summary)
-    response = judge.complete(request)
-    score = parse_score(response.text, VERSE_SCALE.min, VERSE_SCALE.max)
-    rationale = (strip_score_lines(response.text) or None) if options.use_cot else None
-    return VerseGrade(
-        question_id=question.question_id,
-        system_id=system_id,
-        score=score,
-        rationale=rationale,
-        raw_response=response.text,
-    )
+    score = parse_score(judge.complete(request).text, VERSE_SCALE.min, VERSE_SCALE.max)
+    return VerseGrade(question.question_id, system_id, score)
 
 
 # -- aggregation --
@@ -285,12 +275,12 @@ def question_to_record(q: VerseQuestion) -> dict:
     return asdict(q)
 
 
-def question_from_record(record: dict) -> VerseQuestion:
+def question_from_record(record: dict, where: str = "question") -> VerseQuestion:
     return VerseQuestion(
-        question_id=record["question_id"],
-        story_id=record["story_id"],
-        index=record["index"],
-        text=record["text"],
+        question_id=_require(record, "question_id", where),
+        story_id=_require(record, "story_id", where),
+        index=_require(record, "index", where),
+        text=_require(record, "text", where),
         category=record.get("category"),
     )
 

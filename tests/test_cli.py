@@ -6,6 +6,7 @@ import json
 import tempfile
 import threading
 from collections import Counter
+from importlib import resources
 from pathlib import Path
 from unittest.mock import patch
 
@@ -364,6 +365,9 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     pytest.param(["ruler"], "--max-retries", "-1", 0, id="max-retries"),
     pytest.param(["ruler"], "--reference-index", "-1", 0, id="reference-index"),
     pytest.param(["verse", "gen"], "--n-questions", "0", 1, id="n-questions"),
+    pytest.param(["translate"], "--shots", "-1", 0, id="shots"),
+    pytest.param(["sample"], "--n-per-story", "-1", 1, id="n-per-story"),
+    pytest.param(["sample", "--n-per-story", "1"], "--q-per-item", "-1", 0, id="q-per-item"),
 ])
 def test_jobs_below_one_rejected(tmp_path, capsys, command, flag, value, low):
     """--jobs and every other integer flag with a lower bound: a usage error."""
@@ -372,6 +376,94 @@ def test_jobs_below_one_rejected(tmp_path, capsys, command, flag, value, low):
     assert exc.value.code == 2
     assert f"{flag} must be an integer >= {low}, got {value}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, flag, value, wanted", [
+    pytest.param(["ruler"], "--timeout", "0", "a number > 0", id="timeout"),
+    pytest.param(["report"], "--axis-min", "100", "a number in [0, 100)", id="axis-min-high"),
+    pytest.param(["report"], "--axis-min", "-1", "a number in [0, 100)", id="axis-min-low"),
+])
+def test_float_flag_out_of_range_rejected(tmp_path, capsys, command, flag, value, wanted):
+    with pytest.raises(SystemExit) as exc:
+        main(command + common_flags(tmp_path) + [flag, value])
+    assert exc.value.code == 2
+    assert f"{flag} must be {wanted}, got {float(value)!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _error_payload(capsys) -> dict:
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return json.loads(err.strip().splitlines()[-1])
+
+
+def test_mock_backend_without_script_is_an_eval_error(tmp_path, capsys):
+    flags = common_flags(tmp_path)
+    at = flags.index("--script")
+    del flags[at:at + 2]
+    assert main(["ruler"] + flags) == 1
+    assert _error_payload(capsys) == {
+        "error": "EvalError", "message": "--script is required for the mock backend"
+    }
+
+
+def _rubric_with_level_named_one() -> str:
+    rubric = json.loads(
+        resources.files("rulerverse").joinpath("data/rubric_en.json").read_text("utf-8")
+    )
+    levels = rubric["criteria"]["syntax"]["levels"]
+    levels["one"] = levels.pop("1")
+    return json.dumps(rubric)
+
+
+@pytest.mark.parametrize("stage, flag, content", [
+    pytest.param(["validate"], "--config", '{"jobs": ', id="config-invalid-json"),
+    pytest.param(["ruler"], "--manifest", '{"seed": ', id="manifest-invalid-json"),
+    pytest.param(["ruler"], "--script", '{"rules": [', id="script-invalid-json"),
+    pytest.param(["ruler"], "--rubric", '{"criteria": ', id="rubric-invalid-json"),
+    pytest.param(["ruler"], "--script", "[]", id="script-list"),
+    pytest.param(["ruler"], "--rubric", "[]", id="rubric-list"),
+    pytest.param(["ruler"], "--rubric", _rubric_with_level_named_one(), id="rubric-level-one"),
+    pytest.param(["ruler"], "--manifest", json.dumps({"seed": 1, "q_per_item": 0, "items": []}),
+                 id="manifest-without-n-per-story"),
+    pytest.param(["ruler", "--k-shot", "5"], "--shots-bank",
+                 json.dumps({"story_id": "x", "criterion": "syntax", "score": 3,
+                             "candidate_text": "c"}), id="shot-without-source-text"),
+    pytest.param(["verse", "classify"], "--questions",
+                 json.dumps({"question_id": "q", "story_id": "st-arbor", "index": 0}),
+                 id="question-without-text"),
+])
+def test_malformed_input_file_is_a_format_error(tmp_path, capsys, stage, flag, content):
+    """A malformed JSON input ends in exit 1 and a payload naming the file."""
+    path = tmp_path / "input.json"
+    path.write_text(content + "\n", encoding="utf-8")
+    assert main(stage + common_flags(tmp_path) + [flag, str(path)]) == 1
+    err = _error_payload(capsys)
+    assert err["error"] == "CorpusFormatError"
+    assert str(path) in err["message"]
+
+
+@pytest.mark.parametrize("stage, flag", [
+    (["validate"], "--corpus"),
+    (["verse", "classify"], "--questions"),
+])
+def test_missing_input_file_is_reported(tmp_path, capsys, stage, flag):
+    flags = common_flags(tmp_path) + [flag, str(tmp_path / "missing.jsonl")]
+    assert main(stage + flags) == 1
+    err = _error_payload(capsys)
+    assert err["error"] == "FileNotFoundError"
+    assert "missing.jsonl" in err["message"]
+
+
+def test_non_numeric_baseline_cell_names_its_column(tmp_path, capsys):
+    flags = common_flags(tmp_path)
+    assert main(["ruler"] + flags) == 0
+    baseline = tmp_path / "baseline.csv"
+    baseline.write_text("system_id,BLEU\nalpha,31.5\nbeta,n/a\n", encoding="utf-8")
+    assert main(["report"] + flags + ["--baseline", str(baseline)]) == 1
+    err = _error_payload(capsys)
+    assert err["error"] == "CorpusFormatError"
+    assert "'BLEU'" in err["message"] and "'n/a'" in err["message"]
 
 
 def test_jobs_below_one_in_config_rejected(tmp_path, capsys):

@@ -245,6 +245,28 @@ def test_load_fixture_annotations(fixture_corpus):
     assert channels == {"honorifics", "lexical", "syntax", "content", "verse"}
 
 
+@pytest.mark.parametrize("loader, record", [
+    pytest.param("candidates", {"system_id": "x", "story_id": ["st-arbor"], "index": 0,
+                                "text": "t"}, id="candidates-list-story-id"),
+    pytest.param("candidates", {"system_id": "x", "story_id": "st-arbor", "index": True,
+                                "text": "t"}, id="candidates-bool-index"),
+    pytest.param("candidates", {"_provenance": 5}, id="candidates-provenance-not-object"),
+    pytest.param("annotations", {"rater_id": "r", "channel": "syntax", "story_id": ["st-arbor"],
+                                 "index": 0, "system_id": "alpha", "score": 3},
+                 id="annotations-list-story-id"),
+    pytest.param("stories", {"story_id": ["st-arbor"], "summary": ""}, id="stories-list-story-id"),
+])
+def test_malformed_record_key_rejected(tmp_path, fixture_corpus, loader, record):
+    path = _write_lines(tmp_path / "records.jsonl", [record])
+    with pytest.raises(CorpusFormatError, match="records.jsonl:1: "):
+        if loader == "candidates":
+            load_candidates(path, fixture_corpus)
+        elif loader == "annotations":
+            load_annotations(path, fixture_corpus)
+        else:
+            load_corpus(FIXTURES / "corpus.jsonl", path)
+
+
 def test_annotation_dangling_paragraph_rejected(tmp_path, fixture_corpus):
     path = _write_lines(
         tmp_path / "ann.jsonl",
@@ -270,16 +292,6 @@ def test_annotation_score_ranges(tmp_path, fixture_corpus):
     )
     with pytest.raises(OutOfRange):
         load_annotations(bad_verse, fixture_corpus)
-
-
-def test_annotation_unknown_system_rejected_when_known(tmp_path, fixture_corpus):
-    path = _write_lines(
-        tmp_path / "ann.jsonl",
-        [{"rater_id": "r", "channel": "syntax", "story_id": "st-arbor", "index": 0,
-          "system_id": "ghost", "score": 3}],
-    )
-    with pytest.raises(DanglingAnnotation):
-        load_annotations(path, fixture_corpus, known_systems=["alpha"])
 
 
 # -- sampling --

@@ -243,9 +243,9 @@ def _vec(rater, ids, scores):
 
 def test_pairwise_identity_raters():
     raters = [_vec(r, "abcd", [1, 2, 3, 4]) for r in ("r1", "r2", "r3")]
-    result = mean_over_pairs(rater_pairs(raters), kendall_tau_b)
-    assert len(result.pairs) == 3
-    assert result.mean == pytest.approx(1.0)
+    pairs = list(rater_pairs(raters))
+    assert [(a, b) for a, b, _, _ in pairs] == [("r1", "r2"), ("r1", "r3"), ("r2", "r3")]
+    assert mean_over_pairs(pairs, kendall_tau_b) == (pytest.approx(1.0), 0)
 
 
 def test_pairwise_mean_hand_checked():
@@ -253,20 +253,31 @@ def test_pairwise_mean_hand_checked():
     r1 = _vec("r1", "abcd", [1, 2, 3, 4])
     r2 = _vec("r2", "abcd", [2, 3, 4, 5])
     r3 = _vec("r3", "abcd", [1, 3, 2, 4])
-    result = mean_over_pairs(rater_pairs([r1, r2, r3]), kendall_tau_b)
-    values = {(p.rater_a, p.rater_b): p.value for p in result.pairs}
+    pairs = list(rater_pairs([r1, r2, r3]))
+    values = {(a, b): kendall_tau_b(xs, ys) for a, b, xs, ys in pairs}
     assert values[("r1", "r2")] == pytest.approx(1.0)
     assert values[("r1", "r3")] == pytest.approx(2 / 3, abs=APPROX)
     assert values[("r2", "r3")] == pytest.approx(2 / 3, abs=APPROX)
-    assert result.mean == pytest.approx((1.0 + 2 / 3 + 2 / 3) / 3, abs=APPROX)
+    mean, skipped = mean_over_pairs(pairs, kendall_tau_b)
+    assert mean == pytest.approx((1.0 + 2 / 3 + 2 / 3) / 3, abs=APPROX)
+    assert skipped == 0
 
 
 def test_pairwise_common_item_alignment_with_missing():
     r1 = _vec("r1", "abc", [1, 2, None])
     r2 = _vec("r2", "abc", [1, 2, 3])
-    result = mean_over_pairs(rater_pairs([r1, r2]), mse)
-    assert result.pairs[0].n_common == 2
-    assert result.pairs[0].value == 0.0
+    [(_, _, xs, ys)] = rater_pairs([r1, r2])
+    assert (xs, ys) == ([1, 2], [1, 2])
+    assert mean_over_pairs([("r1", "r2", xs, ys)], mse) == (0.0, 0)
+
+
+def test_pairwise_undefined_values_are_skipped():
+    r1 = _vec("r1", "abc", [2, 2, 2])
+    r2 = _vec("r2", "abc", [1, 2, 3])
+    r3 = _vec("r3", "abc", [1, 3, 3])
+    assert mean_over_pairs(rater_pairs([r1, r2, r3]), kendall_tau_b) == (
+        pytest.approx(kendall_tau_b([1, 2, 3], [1, 3, 3])), 2
+    )
 
 
 def test_pairwise_no_common_items_raises():
@@ -279,9 +290,9 @@ def test_pairwise_no_common_items_raises():
 def test_cross_pairwise_counts_three_pairs():
     humans = [_vec(r, "abcd", [1, 2, 3, 4]) for r in ("h1", "h2", "h3")]
     model = [_vec("model", "abcd", [1, 2, 4, 3])]
-    result = mean_over_pairs(rater_pairs(humans, model), spearman_rho)
-    assert len(result.pairs) == 3
-    assert all(p.rater_b == "model" for p in result.pairs)
+    pairs = list(rater_pairs(humans, model))
+    assert [(a, b) for a, b, _, _ in pairs] == [("h1", "model"), ("h2", "model"), ("h3", "model")]
+    assert mean_over_pairs(pairs, spearman_rho) == (pytest.approx(0.8), 0)
 
 
 def test_compute_agreement_report_fields():

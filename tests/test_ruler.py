@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from conftest import FIXTURES, make_judge
+from conftest import FIXTURES, cache_entries, make_judge
 from rulerverse.corpus import load_candidates
 from rulerverse.errors import (
     EmptyCandidate,
@@ -298,24 +298,33 @@ def test_score_candidate_preserves_corpus_order(tmp_path, fixture_corpus):
 def test_scores_round_trip_through_parser(tmp_path, fixture_corpus):
     judge = make_judge(tmp_path)
     cands = load_candidates(FIXTURES / "candidates_beta.jsonl", fixture_corpus)
-    result = score_candidate(
-        fixture_corpus, cands, bundled_rubric(), PromptOptions(), judge
-    )
+    rubric, options = bundled_rubric(), PromptOptions()
+    result = score_candidate(fixture_corpus, cands, rubric, options, judge)
+    responses = {
+        entry["request"]["user_text"]: entry["response"]["text"]
+        for entry in cache_entries(tmp_path / "cache").values()
+    }
     for card in result.scorecards:
+        pair = fixture_corpus.pair(card.story_id, card.index)
+        summary = fixture_corpus.story(card.story_id).summary
         for criterion in CRITERIA:
-            assert parse_likert_score(card.raw_responses[criterion]) == card.scores[criterion]
+            request = build_ruler_prompt(
+                criterion, pair, cands.translations[(pair.story_id, pair.index)],
+                rubric, summary, options,
+            )
+            assert parse_likert_score(responses[request.user_text]) == card.scores[criterion]
 
 
-def test_cot_run_captures_rationales(tmp_path, fixture_corpus):
-    script = {"rules": [], "default": "Because the register is wrong.\nScore: 2"}
+def test_cot_answer_scores_its_final_line(tmp_path, fixture_corpus):
+    script = {"rules": [], "default": "Score: 4\nOn reflection the register is wrong.\nScore: 2"}
     judge = make_judge(tmp_path, script=script)
     cands = load_candidates(FIXTURES / "candidates_alpha.jsonl", fixture_corpus)
     cands = cands.subset([("st-brook", 0)])
     result = score_candidate(
         fixture_corpus, cands, bundled_rubric(), PromptOptions(use_cot=True), judge
     )
-    card = result.scorecards[0]
-    assert card.rationales[Criterion.HONORIFICS] == "Because the register is wrong."
+    [card] = result.scorecards
+    assert card.scores == {criterion: 2 for criterion in CRITERIA}
 
 
 def test_mock_determinism_byte_stable(tmp_path, fixture_corpus):

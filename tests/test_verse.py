@@ -140,7 +140,7 @@ def test_grade_deterministic(tmp_path, pair):
     q = VerseQuestion("q1", pair.story_id, pair.index, "Is the imagery kept?")
     a = grade_question(q, pair, "candidate", PromptOptions(), judge)
     b = grade_question(q, pair, "candidate", PromptOptions(), judge)
-    assert (a.question_id, a.score, a.raw_response) == (b.question_id, b.score, b.raw_response)
+    assert a == b
 
 
 def test_grade_reference_free_prompt(tmp_path, pair):
