@@ -520,13 +520,13 @@ def cmd_report(ctx: RunContext) -> int:
     if scorecards_path.exists():
         meta, records = read_artifact(scorecards_path)
         metas["scorecards"] = meta
-        scorecards = [ruler.scorecard_from_record(r) for r in records]
+        scorecards = [ruler.scorecard_from_record(r, str(scorecards_path)) for r in records]
     if questions_path.exists():
         metas["questions"], questions = read_questions(questions_path)
     if grades_path.exists():
         meta, records = read_artifact(grades_path)
         metas["grades"] = meta
-        grades = [verse.grade_from_record(r) for r in records]
+        grades = [verse.grade_from_record(r, str(grades_path)) for r in records]
 
     if not scorecards and not grades:
         raise EmptyRun("no completed scores found; run `ruler` or `verse grade` first")
@@ -644,10 +644,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     )
     sub = parser.add_subparsers(dest="command", required=True)
     leaves: list[argparse.ArgumentParser] = []
+    # every leaf shares these actions; built per call, as _apply_config_file writes into them
+    common = argparse.ArgumentParser(add_help=False)
+    _add_common(common)
 
     def leaf(name: str, parent: Any = sub, **kwargs) -> argparse.ArgumentParser:
-        p = parent.add_parser(name, **kwargs)
-        _add_common(p)
+        p = parent.add_parser(name, parents=[common], **kwargs)
         leaves.append(p)
         return p
 

@@ -119,15 +119,33 @@ class MockScript:
     default answers anything unmatched.
     """
 
-    def __init__(self, rules: list[dict], default: str | None = None, digest: str | None = None):
+    def __init__(self, rules: list[dict], default: str | None = None, digest: str | None = None,
+                 where: str = "mock script"):
         if not isinstance(rules, list):
-            raise CorpusFormatError("mock script: rules must be a list")
+            raise CorpusFormatError(f"{where}: rules must be a list")
+        if default is not None and not isinstance(default, str):
+            raise CorpusFormatError(f"{where}: default must be a string")
+        # per rule: its substrings, compiled regex and prompt hash (None where it has
+        # no such condition), then its response
+        self._rules: list[tuple[list[str] | None, re.Pattern | None, str | None, str]] = []
         for i, rule in enumerate(rules):
-            if not isinstance(rule, dict) or "response" not in rule:
-                raise CorpusFormatError(f"mock rule {i}: missing response")
+            if not isinstance(rule, dict) or not isinstance(rule.get("response"), str):
+                raise CorpusFormatError(f"{where}: rule {i}: response must be a string")
             if not any(k in rule for k in ("contains", "regex", "hash")):
-                raise CorpusFormatError(f"mock rule {i}: needs contains, regex, or hash")
-        self.rules = rules
+                raise CorpusFormatError(f"{where}: rule {i}: needs contains, regex, or hash")
+            needles = rule.get("contains")
+            needles = [needles] if isinstance(needles, str) else needles
+            if "contains" in rule and not (
+                    isinstance(needles, list) and all(isinstance(n, str) for n in needles)):
+                raise CorpusFormatError(
+                    f"{where}: rule {i}: contains must be a string or a list of strings")
+            if "hash" in rule and not isinstance(rule["hash"], str):
+                raise CorpusFormatError(f"{where}: rule {i}: hash must be a string")
+            try:
+                pattern = re.compile(rule["regex"]) if "regex" in rule else None
+            except (re.error, TypeError) as exc:
+                raise CorpusFormatError(f"{where}: rule {i}: bad regex ({exc})") from None
+            self._rules.append((needles, pattern, rule.get("hash"), rule["response"]))
         self.default = default
         self.digest = digest  # sha256 of the script file
 
@@ -135,22 +153,18 @@ class MockScript:
     def load(cls, path: Path | str) -> "MockScript":
         data = read_json(path)
         return cls(rules=data.get("rules", []), default=data.get("default"),
-                   digest=hashlib.sha256(Path(path).read_bytes()).hexdigest())
+                   digest=hashlib.sha256(Path(path).read_bytes()).hexdigest(), where=str(path))
 
     def respond(self, system_text: str, user_text: str) -> str:
         combined = f"{system_text}\n\n{user_text}"
-        for rule in self.rules:
-            if "contains" in rule:
-                needles = rule["contains"]
-                if isinstance(needles, str):
-                    needles = [needles]
-                if not all(n in combined for n in needles):
-                    continue
-            if "regex" in rule and not re.search(rule["regex"], combined):
+        for needles, pattern, digest, response in self._rules:
+            if needles is not None and not all(n in combined for n in needles):
                 continue
-            if "hash" in rule and rule["hash"] != prompt_hash(system_text, user_text):
+            if pattern is not None and not pattern.search(combined):
                 continue
-            return rule["response"]
+            if digest is not None and digest != prompt_hash(system_text, user_text):
+                continue
+            return response
         if self.default is not None:
             return self.default
         raise MockScriptMiss(
@@ -180,7 +194,7 @@ class CompletionLog:
         if os.fstat(self._file.fileno()).st_size == self._end:
             return
         self._torn = False
-        with open(self._file.fileno(), "rb", closefd=False) as lines:
+        with open(self._file.fileno(), "rb", buffering=1 << 16, closefd=False) as lines:
             lines.seek(self._end)
             for line in lines:
                 if not line.endswith(b"\n"):

@@ -17,7 +17,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import CandidateSet, Corpus, ParagraphPair, _require, read_json, read_jsonl
+from .corpus import CandidateSet, Corpus, ParagraphPair, _item_key, _require, read_json, read_jsonl
 from .errors import (
     CorpusFormatError,
     EmptyCandidate,
@@ -410,10 +410,16 @@ def scorecard_to_record(card: RubricScorecard, options_fp: str, model_id: str) -
     }
 
 
-def scorecard_from_record(record: dict) -> RubricScorecard:
+def scorecard_from_record(record: dict, where: str = "scorecard") -> RubricScorecard:
+    story_id, index = _item_key(record, where)
+    scores = _require(record, "scores", where)
+    names = sorted(c.value for c in CRITERIA)
+    if not isinstance(scores, dict) or sorted(scores) != names or not all(
+            isinstance(v, int) and not isinstance(v, bool) for v in scores.values()):
+        raise CorpusFormatError(f"{where}: scores must map each of {names} to an integer")
     return RubricScorecard(
-        system_id=record["system_id"],
-        story_id=record["story_id"],
-        index=record["index"],
-        scores={Criterion(k): v for k, v in record["scores"].items()},
+        system_id=_require(record, "system_id", where),
+        story_id=story_id,
+        index=index,
+        scores={Criterion(k): v for k, v in scores.items()},
     )

@@ -14,6 +14,7 @@ from typing import Sequence
 
 from .corpus import ParagraphPair, _require
 from .errors import (
+    CorpusFormatError,
     EmptyCandidate,
     NoQuestionsParsed,
     UnclassifiedQuestion,
@@ -295,9 +296,12 @@ def grade_to_record(grade: VerseGrade, options_fp: str, model_id: str) -> dict:
     }
 
 
-def grade_from_record(record: dict) -> VerseGrade:
+def grade_from_record(record: dict, where: str = "grade") -> VerseGrade:
+    score = _require(record, "score", where)
+    if not isinstance(score, int) or isinstance(score, bool):
+        raise CorpusFormatError(f"{where}: score must be an integer")
     return VerseGrade(
-        question_id=record["question_id"],
-        system_id=record["system_id"],
-        score=record["score"],
+        question_id=_require(record, "question_id", where),
+        system_id=_require(record, "system_id", where),
+        score=score,
     )

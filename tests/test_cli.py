@@ -359,6 +359,18 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     assert out["candidates"] == {"beta": 1.0}
 
 
+def test_config_file_defaults_do_not_outlive_their_run(tmp_path):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"model": "configured-judge"}), encoding="utf-8")
+    assert main(["ruler", "--config", str(config_path)] + common_flags(tmp_path, "first")) == 0
+    assert main(["ruler"] + common_flags(tmp_path, "second")) == 0
+    models = {}
+    for run_id in ("first", "second"):
+        meta, records = read_artifact(tmp_path / "out" / run_id / "scorecards.jsonl")
+        models[run_id] = {meta["model_id"]} | {r["model_id"] for r in records}
+    assert models == {"first": {"configured-judge"}, "second": {"mock-judge"}}
+
+
 @pytest.mark.parametrize("command, flag, value, low", [
     pytest.param(["ruler"], "--jobs", "0", 1, id="0"),
     pytest.param(["ruler"], "--jobs", "-1", 1, id="-1"),
@@ -441,6 +453,57 @@ def test_malformed_input_file_is_a_format_error(tmp_path, capsys, stage, flag, c
     err = _error_payload(capsys)
     assert err["error"] == "CorpusFormatError"
     assert str(path) in err["message"]
+
+
+@pytest.mark.parametrize("script, rule", [
+    pytest.param({"rules": [], "default": 5}, None, id="default-not-a-string"),
+    pytest.param({"rules": [{"contains": "", "response": 5}]}, 0, id="response-not-a-string"),
+    pytest.param({"rules": [{"contains": "", "response": "Score: 3"},
+                            {"contains": 7, "response": "Score: 3"}]}, 1, id="contains-int"),
+    pytest.param({"rules": [{"regex": "([", "response": "Score: 3"}]}, 0, id="regex-invalid"),
+    pytest.param({"rules": [{"hash": 5, "response": "Score: 3"}]}, 0, id="hash-not-a-string"),
+])
+def test_malformed_mock_script_rule_is_a_format_error(tmp_path, capsys, script, rule):
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps(script), encoding="utf-8")
+    flags = common_flags(tmp_path)
+    flags[flags.index("--script") + 1] = str(path)
+    assert main(["ruler"] + flags) == 1
+    err = _error_payload(capsys)
+    assert err["error"] == "CorpusFormatError"
+    assert str(path) in err["message"]
+    assert ("default" if rule is None else f"rule {rule}:") in err["message"]
+
+
+_SCORECARD = {"system_id": "alpha", "story_id": "st-arbor", "index": 0, "options": "o",
+              "model_id": "mock-judge",
+              "scores": {"honorifics": 5, "lexical": 4, "syntax": 3, "content": 2}}
+_GRADE = {"question_id": "q1", "system_id": "alpha", "score": 2, "options": "o",
+          "model_id": "mock-judge"}
+
+
+@pytest.mark.parametrize("flag, record, field", [
+    pytest.param("--scorecards", {k: v for k, v in _SCORECARD.items() if k != "scores"},
+                 "'scores'", id="scorecard-without-scores"),
+    pytest.param("--scorecards", {**_SCORECARD, "scores": {"honorifics": 5, "lexicon": 4,
+                                                           "syntax": 3, "content": 2}},
+                 "scores", id="scorecard-unknown-criterion"),
+    pytest.param("--scorecards", {**_SCORECARD, "scores": {**_SCORECARD["scores"], "syntax": "3"}},
+                 "scores", id="scorecard-score-not-an-integer"),
+    pytest.param("--grades", {k: v for k, v in _GRADE.items() if k != "score"},
+                 "'score'", id="grade-without-score"),
+    pytest.param("--grades", {k: v for k, v in _GRADE.items() if k != "question_id"},
+                 "'question_id'", id="grade-without-question-id"),
+    pytest.param("--grades", {**_GRADE, "score": "2"}, "score", id="grade-score-not-an-integer"),
+])
+def test_malformed_artifact_record_is_a_format_error(tmp_path, capsys, flag, record, field):
+    path = tmp_path / "artifact.jsonl"
+    path.write_text(json.dumps({"_meta": {"fingerprint": "f"}}) + "\n" + json.dumps(record)
+                    + "\n", encoding="utf-8")
+    assert main(["report"] + common_flags(tmp_path) + [flag, str(path)]) == 1
+    err = _error_payload(capsys)
+    assert err["error"] == "CorpusFormatError"
+    assert str(path) in err["message"] and field in err["message"]
 
 
 @pytest.mark.parametrize("stage, flag", [
@@ -599,6 +662,19 @@ def test_fingerprint_covers_every_common_flag_that_changes_output():
                               "a.jsonl", "--cot", "--jobs", "2"])
     assert config_fingerprint(args) == (
         "40ae6d05299b6314fba801bff298a81110335cdcf9bc11661909a4f60a403b49")
+
+
+def test_every_leaf_has_the_common_flags_of_add_common():
+    reference = argparse.ArgumentParser(add_help=False)
+    _add_common(reference)
+    fields = ("option_strings", "dest", "default", "type", "choices", "nargs", "required", "help")
+    wanted = [tuple(getattr(a, f) for f in fields) for a in reference._actions]
+    _, leaves = build_parser()
+    assert len(leaves) == 9
+    for leaf in leaves:
+        # after -h and before the leaf's own flags, as in every command's --help
+        common = leaf._actions[1:1 + len(wanted)]
+        assert [tuple(getattr(a, f) for f in fields) for a in common] == wanted, leaf.prog
 
 
 STAGES = {

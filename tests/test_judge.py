@@ -691,6 +691,62 @@ def test_torn_last_line_is_skipped_and_terminated(tmp_path):
         CompletionLog(tmp_path / "cache").get("f" * 64)
 
 
+def _log_bytes_index(data: bytes) -> dict[str, tuple[int, int]]:
+    """The index of a log, from its whole lines split on b"\n": the offset and
+    length of each key's last entry; a torn last piece is left out."""
+    index, at = {}, 0
+    for line in data.split(b"\n")[:-1]:
+        if line[64:65] == b"\t":
+            index[line[:64].decode("latin-1")] = (at + 65, len(line) - 65)
+        at += len(line) + 1
+    return index
+
+
+def test_entry_longer_than_the_read_buffer_reads_back_intact(tmp_path):
+    big = {"response": {"text": "夜" * 40_000 + "x" * 30_000}}  # 190,000 UTF-8 bytes
+    store = CompletionLog(tmp_path)
+    for key, entry in [("a" * 64, {"n": 1}), ("b" * 64, big), ("c" * 64, {"n": 3})]:
+        store.put(key, entry)
+    fresh = CompletionLog(tmp_path)
+    assert fresh.keys() == ["a" * 64, "b" * 64, "c" * 64]
+    assert [fresh.get(k) for k in fresh.keys()] == [{"n": 1}, big, {"n": 3}]
+
+
+def test_long_torn_last_line_is_skipped_and_terminated(tmp_path):
+    store = CompletionLog(tmp_path)
+    store.put("a" * 64, {"n": 1})
+    path = tmp_path / CompletionLog.NAME
+    with path.open("ab") as f:
+        f.write(b"f" * 64 + b'\t{"response": "' + b"x" * 100_000)  # a writer died mid-line
+    torn = CompletionLog(tmp_path)
+    assert torn.keys() == ["a" * 64]
+    torn.put("b" * 64, {"n": 2})
+    lines = path.read_bytes().split(b"\n")
+    assert len(lines) == 4 and len(lines[1]) == 100_079 and lines[-1] == b""
+    again = CompletionLog(tmp_path)
+    assert (again.get("a" * 64), again.get("b" * 64)) == ({"n": 1}, {"n": 2})
+    with pytest.raises(ValueError):
+        again.get("f" * 64)
+
+
+def test_index_equals_a_split_of_the_log_on_newlines(tmp_path):
+    path = tmp_path / CompletionLog.NAME
+    writer = CompletionLog(tmp_path)
+    # entries across the read buffer's edges, one key written twice
+    entries = [(f"{i % 11:064x}", {"text": "é" * (i * 9_001 % 70_000)}) for i in range(12)]
+    for key, entry in entries[:5]:
+        writer.put(key, entry)
+    reader = CompletionLog(tmp_path)
+    for key, entry in entries[5:]:
+        writer.put(key, entry)
+    with path.open("ab") as f:
+        f.write(b"a line without a key\n" + b"d" * 64 + b'\t{"n": 1}\n' + b"e" * 64 + b"\t{")
+    assert CompletionLog(tmp_path)._index == _log_bytes_index(path.read_bytes())
+    reader.refresh()  # scans on from where its first scan ended
+    assert reader._index == _log_bytes_index(path.read_bytes())
+    assert len(reader.keys()) == 12
+
+
 def _python(code, *args):
     return subprocess.Popen([sys.executable, "-c", code, *map(str, args)], env=_src_env())
 
