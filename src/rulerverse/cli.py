@@ -4,8 +4,8 @@ Every subcommand writes into out/<run_id>/ and embeds the run's config
 fingerprint in each artifact; re-running with an unchanged config is
 idempotent because judge completions are served from the on-disk cache and
 every artifact file is rewritten atomically (`corpus.write_atomic`) with
-deterministic content.  `--jobs` sets the judge's concurrency limit, the one
-bound on the threads that wait on a live backend.
+deterministic content.  `--jobs` sets the judge's concurrency limit, the number
+of threads that run a live backend's items.
 """
 from __future__ import annotations
 
@@ -24,7 +24,6 @@ from typing import Any, Iterable, Sequence
 from . import corpus as corpus_mod
 from . import metrics, report, ruler, translate, verse
 from .corpus import (
-    AnnotationRecord,
     CandidateSet,
     Corpus,
     SampleManifest,
@@ -204,8 +203,9 @@ def cmd_validate(ctx: RunContext) -> int:
             coverage[cands.system_id] = round(cands.coverage(corpus), 6)
         result["candidates"] = coverage
     if ctx.args.annotations:
-        records = corpus_mod.load_annotations(ctx.args.annotations, corpus)
-        result["annotations"] = len(records)
+        scores = corpus_mod.load_annotations(ctx.args.annotations, corpus)
+        result["annotations"] = sum(
+            len(rated) for raters in scores.values() for rated in raters.values())
     print(json.dumps(result, sort_keys=True))
     return 0
 
@@ -411,22 +411,16 @@ def cmd_verse_grade(ctx: RunContext) -> int:
 
 
 def _vectors_by_channel(
-    records: Sequence[AnnotationRecord],
+    scores: dict[str, dict[str, dict[str, int]]],
 ) -> dict[str, list[RatingVector]]:
-    by_channel: dict[str, dict[str, dict[str, int]]] = {}
-    for record in records:
-        by_channel.setdefault(record.channel, {}).setdefault(record.rater_id, {})[
-            record.item_id()
-        ] = record.score
     out: dict[str, list[RatingVector]] = {}
-    for channel in sorted(by_channel):
+    for channel in sorted(scores):
         raters = []
-        for rater_id in sorted(by_channel[channel]):
-            scores = by_channel[channel][rater_id]
-            ids = tuple(sorted(scores))
+        for rater_id in sorted(scores[channel]):
+            rated = scores[channel][rater_id]
+            ids = tuple(sorted(rated))
             raters.append(
-                RatingVector(ids=ids, scores=tuple(scores[i] for i in ids), rater_id=rater_id)
-            )
+                RatingVector(ids=ids, scores=tuple(rated[i] for i in ids), rater_id=rater_id))
         out[channel] = raters
     return out
 
@@ -615,9 +609,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-reference", action="store_true", help="omit the reference block")
     parser.add_argument("--reference-index", type=int, default=0)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--jobs", type=int, default=4, help="threads that wait on a live "
-                        "backend (default: 4, at least 1); cache hits and mock answers run "
-                        "in the calling thread")
+    parser.add_argument("--jobs", type=int, default=4, help="threads that run the items of a "
+                        "live backend (default: 4, at least 1); a mock runs them in the "
+                        "calling thread")
     parser.add_argument("--out", default="out", help="output root directory")
     parser.add_argument("--run-id", help="default: config fingerprint prefix")
     parser.add_argument("--cache-dir", help="judge cache (default: <out>/judge_cache)")

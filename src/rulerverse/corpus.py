@@ -134,23 +134,6 @@ class CandidateSet:
         )
 
 
-@dataclass(frozen=True)
-class AnnotationRecord:
-    rater_id: str
-    channel: str
-    score: int
-    system_id: str
-    story_id: str | None = None
-    index: int | None = None
-    question_id: str | None = None
-
-    def item_id(self) -> str:
-        """Stable item key used to align raters for agreement statistics."""
-        if self.channel == VERSE_CHANNEL:
-            return f"{self.question_id}::{self.system_id}"
-        return f"{self.story_id}::{self.index}::{self.system_id}"
-
-
 # -- line-delimited record helpers --
 
 def read_jsonl(path: Path | str) -> Iterator[tuple[int, dict]]:
@@ -370,10 +353,11 @@ def save_candidates(cands: CandidateSet, path: Path | str) -> None:
     write_jsonl(path, records)
 
 
-def load_annotations(path: Path | str, corpus: Corpus) -> list[AnnotationRecord]:
-    """Load annotation records, rejecting dangling or out-of-range entries."""
-    records: list[AnnotationRecord] = []
-    seen: set[tuple[str, str, str]] = set()
+def load_annotations(path: Path | str, corpus: Corpus) -> dict[str, dict[str, dict[str, int]]]:
+    """Scores by channel, rater and item id, rejecting dangling, duplicate or
+    out-of-range entries.  The item id aligns raters for agreement statistics:
+    `question_id::system_id` for VERSE, `story_id::index::system_id` otherwise."""
+    scores: dict[str, dict[str, dict[str, int]]] = {}
     for lineno, record in read_jsonl(path):
         where = f"{path}:{lineno}"
         rater_id = str(_require(record, "rater_id", where))
@@ -388,27 +372,19 @@ def load_annotations(path: Path | str, corpus: Corpus) -> list[AnnotationRecord]
             raise OutOfRange(score, lo, hi)
         system_id = str(_require(record, "system_id", where))
         if channel == VERSE_CHANNEL:
-            question_id = _require(record, "question_id", where)
-            ann = AnnotationRecord(
-                rater_id=rater_id, channel=channel, score=score,
-                system_id=system_id, question_id=question_id,
-            )
+            item_id = f"{_require(record, 'question_id', where)}::{system_id}"
         else:
             story_id, index = _item_key(record, where)
             if not corpus.has_pair(story_id, index):
                 raise DanglingAnnotation(
                     f"{where}: annotation for unknown paragraph ({story_id!r}, {index})"
                 )
-            ann = AnnotationRecord(
-                rater_id=rater_id, channel=channel, score=score,
-                system_id=system_id, story_id=story_id, index=index,
-            )
-        dedup = (ann.rater_id, ann.channel, ann.item_id())
-        if dedup in seen:
-            raise DuplicateItem(f"{where}: duplicate annotation for {dedup}")
-        seen.add(dedup)
-        records.append(ann)
-    return records
+            item_id = f"{story_id}::{index}::{system_id}"
+        rated = scores.setdefault(channel, {}).setdefault(rater_id, {})
+        if item_id in rated:
+            raise DuplicateItem(f"{where}: duplicate annotation for {(rater_id, channel, item_id)}")
+        rated[item_id] = score
+    return scores
 
 
 # -- seeded sampling --
@@ -450,18 +426,21 @@ class SampleManifest:
         items = _require(data, "items", where)
         if not isinstance(items, list) or not all(isinstance(d, dict) for d in items):
             raise CorpusFormatError(f"{where}: items must be a list of objects")
+        checked = []
+        for i, d in enumerate(items):
+            at = f"{where}: items[{i}]"
+            system_id, question_ids = d.get("system_id"), d.get("question_ids", [])
+            if system_id is not None and not isinstance(system_id, str):
+                raise CorpusFormatError(f"{at}: system_id must be null or a string")
+            if not isinstance(question_ids, list) or not all(
+                    isinstance(q, str) for q in question_ids):
+                raise CorpusFormatError(f"{at}: question_ids must be a list of strings")
+            checked.append(SampleItem(*_item_key(d, at), system_id, tuple(question_ids)))
         return cls(
             seed=_require(data, "seed", where),
             n_per_story=_require(data, "n_per_story", where),
             q_per_item=_require(data, "q_per_item", where),
-            items=[
-                SampleItem(
-                    *_item_key(d, f"{where}: items[{i}]"),
-                    system_id=d.get("system_id"),
-                    question_ids=tuple(d.get("question_ids", ())),
-                )
-                for i, d in enumerate(items)
-            ],
+            items=checked,
         )
 
 

@@ -17,7 +17,7 @@ import re
 import threading
 import time
 import weakref
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
@@ -224,24 +224,6 @@ class CompletionLog:
             self._end = end
 
 
-@dataclass
-class JudgeStats:
-    backend_calls: int = 0
-    cache_hits: int = 0
-
-
-class _NeedsBackend(BaseException):
-    """A miss in the calling thread of `Judge.map` that must wait on the live
-    backend.  Not an Exception, so the stages' error handling lets it through."""
-
-
-class _Inline(threading.local):
-    """Per thread: does it run `Judge.map` items inline, with how many hits so far."""
-
-    active = False
-    hits = 0
-
-
 @functools.cache
 def _opener():
     """urllib's default opener (proxy variables, TLS verification) with redirects
@@ -258,12 +240,11 @@ class Judge:
 
     def __init__(self, config: JudgeConfig):
         self.config = config
-        self._stats = JudgeStats()
+        self._stats = {"backend_calls": 0, "cache_hits": 0}
         self._lock = threading.Lock()
         # cache key -> set when the one backend call for that key has ended
         self._flights: dict[str, threading.Event] = {}
         self._sem = threading.Semaphore(config.concurrency_limit)
-        self._inline = _Inline()
         self._script: MockScript | None = None
         if config.backend == "mock":
             if config.script_path is None:
@@ -272,40 +253,24 @@ class Judge:
         self._log = None if config.cache_dir is None else CompletionLog(config.cache_dir)
 
     def map(self, work: Callable[[Any], Any], items: Sequence) -> list:
-        """`work(item)` for every item, outcomes in input order.
+        """`work(item)` for every item, once, with outcomes in input order.
 
-        Each item first runs in the calling thread, where cache hits and mock
-        answers are served at once.  An item that misses the cache of a live
-        backend is handed to a pool of `concurrency_limit` threads, created at
-        the first such item, and reruns there from its start while the scan
-        goes on.
+        A mock judge runs the items one by one in the calling thread.  A live
+        judge runs them on a pool of `concurrency_limit` threads, so that that
+        many calls can wait on the backend at once.
         """
-        outcomes: list[Any] = []
-        pool: ThreadPoolExecutor | None = None
-        inline = self._inline
+        if self._script is not None:
+            return [work(item) for item in items]
+        pool = ThreadPoolExecutor(max_workers=self.config.concurrency_limit)
         try:
-            for item in items:
-                inline.active, inline.hits = True, 0
-                try:
-                    outcomes.append(work(item))
-                except _NeedsBackend:
-                    # the worker reads this item's hits again and counts them then
-                    with self._lock:
-                        self._stats.cache_hits -= inline.hits
-                    if pool is None:
-                        pool = ThreadPoolExecutor(max_workers=self.config.concurrency_limit)
-                    outcomes.append(pool.submit(work, item))
-                finally:
-                    inline.active = False
-            return [o.result() if isinstance(o, Future) else o for o in outcomes]
+            return list(pool.map(work, items))
         finally:
-            if pool is not None:
-                pool.shutdown(cancel_futures=True)
+            pool.shutdown(cancel_futures=True)
 
     @property
     def stats(self) -> dict[str, int]:
         with self._lock:
-            return {"backend_calls": self._stats.backend_calls, "cache_hits": self._stats.cache_hits}
+            return dict(self._stats)
 
     def complete(self, request: JudgeRequest) -> JudgeResponse:
         """The completion for `request`, from the cache or else the backend.
@@ -328,11 +293,8 @@ class Judge:
                 cached_text = self._cache_read(key)
                 if cached_text is not None:
                     with self._lock:
-                        self._stats.cache_hits += 1
-                    self._inline.hits += 1
+                        self._stats["cache_hits"] += 1
                     return JudgeResponse(text=cached_text, cached=True)
-                if self._script is None and self._inline.active:
-                    raise _NeedsBackend
                 # a new flight reads the cache once more after it is registered: a flight
                 # that ended just before has written its answer, other processes theirs
                 if flight is not None or self._log is None:
@@ -350,7 +312,7 @@ class Judge:
             else:
                 text = self._live_complete(request.system_text, request.user_text, temperature)
             with self._lock:
-                self._stats.backend_calls += 1
+                self._stats["backend_calls"] += 1
             if not text.strip():
                 raise EmptyCompletion("backend returned an empty completion")
 

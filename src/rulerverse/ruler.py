@@ -17,7 +17,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import CandidateSet, Corpus, ParagraphPair, _item_key, _require, read_json, read_jsonl
+from .corpus import (CandidateSet, Corpus, ParagraphPair, _item_key, _require, _story_id, read_json,
+                     read_jsonl)
 from .errors import (
     CorpusFormatError,
     EmptyCandidate,
@@ -151,11 +152,11 @@ def load_example_bank(path: Path | str) -> list[ScoredExample]:
         except (KeyError, ValueError):
             raise CorpusFormatError(f"{where}: bad or missing criterion") from None
         score = record.get("score")
-        if not isinstance(score, int) or not 1 <= score <= 5:
+        if not isinstance(score, int) or isinstance(score, bool) or not 1 <= score <= 5:
             raise CorpusFormatError(f"{where}: score must be an integer in 1..5")
         bank.append(
             ScoredExample(
-                story_id=str(record.get("story_id", "")),
+                story_id=_story_id(record, where),
                 criterion=criterion,
                 source_text=str(_require(record, "source_text", where)),
                 candidate_text=str(_require(record, "candidate_text", where)),

@@ -12,7 +12,7 @@ import re
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
-from .corpus import ParagraphPair, _require
+from .corpus import ParagraphPair, _item_key, _require
 from .errors import (
     CorpusFormatError,
     EmptyCandidate,
@@ -277,13 +277,13 @@ def question_to_record(q: VerseQuestion) -> dict:
 
 
 def question_from_record(record: dict, where: str = "question") -> VerseQuestion:
-    return VerseQuestion(
-        question_id=_require(record, "question_id", where),
-        story_id=_require(record, "story_id", where),
-        index=_require(record, "index", where),
-        text=_require(record, "text", where),
-        category=record.get("category"),
-    )
+    question_id, text = _require(record, "question_id", where), _require(record, "text", where)
+    if not (isinstance(question_id, str) and isinstance(text, str)):
+        raise CorpusFormatError(f"{where}: question_id and text must be strings")
+    category = record.get("category")
+    if category is not None and not isinstance(category, str):
+        raise CorpusFormatError(f"{where}: category must be null or a string")
+    return VerseQuestion(question_id, *_item_key(record, where), text, category)
 
 
 def grade_to_record(grade: VerseGrade, options_fp: str, model_id: str) -> dict:

@@ -441,9 +441,34 @@ def _rubric_with_level_named_one() -> str:
     pytest.param(["ruler", "--k-shot", "5"], "--shots-bank",
                  json.dumps({"story_id": "x", "criterion": "syntax", "score": 3,
                              "candidate_text": "c"}), id="shot-without-source-text"),
+    pytest.param(["ruler", "--k-shot", "5"], "--shots-bank",
+                 json.dumps({"criterion": "syntax", "score": 3, "source_text": "s",
+                             "candidate_text": "c"}), id="shot-without-story-id"),
+    pytest.param(["ruler", "--k-shot", "5"], "--shots-bank",
+                 json.dumps({"story_id": "x", "criterion": "syntax", "score": True,
+                             "source_text": "s", "candidate_text": "c"}), id="shot-bool-score"),
     pytest.param(["verse", "classify"], "--questions",
                  json.dumps({"question_id": "q", "story_id": "st-arbor", "index": 0}),
                  id="question-without-text"),
+    pytest.param(["verse", "classify"], "--questions",
+                 json.dumps({"question_id": "q", "story_id": "st-arbor", "index": 0, "text": 7}),
+                 id="question-text-not-a-string"),
+    pytest.param(["verse", "grade"], "--questions",
+                 json.dumps({"question_id": "q", "story_id": "st-arbor", "index": "0", "text": "t",
+                             "category": "Overall Consistency and Cohesion"}),
+                 id="question-index-a-string"),
+    pytest.param(["verse", "grade"], "--questions",
+                 json.dumps({"question_id": "q", "story_id": "st-arbor", "index": 0, "text": "t",
+                             "category": 3}),
+                 id="question-category-not-a-string"),
+    pytest.param(["ruler"], "--manifest",
+                 json.dumps({"seed": 1, "n_per_story": 1, "q_per_item": 1, "items": [
+                     {"story_id": "st-arbor", "index": 0, "question_ids": "st-arbor:0:q01"}]}),
+                 id="manifest-question-ids-a-string"),
+    pytest.param(["ruler"], "--manifest",
+                 json.dumps({"seed": 1, "n_per_story": 1, "q_per_item": 0, "items": [
+                     {"story_id": "st-arbor", "index": 0, "system_id": 5}]}),
+                 id="manifest-system-id-not-a-string"),
 ])
 def test_malformed_input_file_is_a_format_error(tmp_path, capsys, stage, flag, content):
     """A malformed JSON input ends in exit 1 and a payload naming the file."""

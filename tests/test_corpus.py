@@ -239,10 +239,9 @@ def test_candidate_provenance_round_trip(tmp_path, fixture_corpus):
 # -- annotations --
 
 def test_load_fixture_annotations(fixture_corpus):
-    records = load_annotations(FIXTURES / "annotations.jsonl", fixture_corpus)
-    assert len(records) == 78
-    channels = {r.channel for r in records}
-    assert channels == {"honorifics", "lexical", "syntax", "content", "verse"}
+    scores = load_annotations(FIXTURES / "annotations.jsonl", fixture_corpus)
+    assert sum(len(rated) for raters in scores.values() for rated in raters.values()) == 78
+    assert set(scores) == {"honorifics", "lexical", "syntax", "content", "verse"}
 
 
 @pytest.mark.parametrize("loader, record", [
