@@ -19,7 +19,7 @@ import re
 import sys
 from dataclasses import asdict
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from . import corpus as corpus_mod
 from . import metrics, report, ruler, translate, verse
@@ -62,20 +62,16 @@ def write_artifact(path: Path, meta: dict, records: Iterable[dict]) -> None:
     corpus_mod.write_jsonl(path, rows)
 
 
-def read_artifact(path: Path) -> tuple[dict, list[dict]]:
+def read_artifact(path: Path, parse: Callable[[dict, str], Any]) -> tuple[dict, list]:
+    """The meta record, and `parse(record, "path:line")` for every other record."""
     meta: dict = {}
-    records: list[dict] = []
-    for _, record in corpus_mod.read_jsonl(path):
+    records = []
+    for lineno, record in corpus_mod.read_jsonl(path):
         if "_meta" in record:
             meta = record["_meta"]
         else:
-            records.append(record)
+            records.append(parse(record, f"{path}:{lineno}"))
     return meta, records
-
-
-def read_questions(path: Path) -> tuple[dict, list[verse.VerseQuestion]]:
-    meta, records = read_artifact(path)
-    return meta, [verse.question_from_record(r, str(path)) for r in records]
 
 
 def write_json(path: Path, payload: dict) -> None:
@@ -215,7 +211,7 @@ def cmd_sample(ctx: RunContext) -> int:
     story_ids = ctx.args.sample_stories or corpus.story_ids()
     questions = None
     if ctx.args.questions:
-        _, questions = read_questions(Path(ctx.args.questions))
+        _, questions = read_artifact(Path(ctx.args.questions), verse.question_from_record)
     systems = ctx.args.systems or None
     manifest = corpus_mod.sample_items(
         corpus,
@@ -334,7 +330,7 @@ def _questions_path(ctx: RunContext) -> Path:
 
 def cmd_verse_classify(ctx: RunContext) -> int:
     path = _questions_path(ctx)
-    meta, questions = read_questions(path)
+    meta, questions = read_artifact(path, verse.question_from_record)
     judge = ctx.judge()
 
     def work(q: verse.VerseQuestion):
@@ -362,7 +358,7 @@ def cmd_verse_classify(ctx: RunContext) -> int:
 def cmd_verse_grade(ctx: RunContext) -> int:
     corpus = ctx.load_corpus()
     candidate_sets = ctx.load_candidates(corpus)
-    _, questions = read_questions(_questions_path(ctx))
+    _, questions = read_artifact(_questions_path(ctx), verse.question_from_record)
     unclassified = [q.question_id for q in questions if q.category is None]
     if unclassified:
         raise UnclassifiedQuestion(
@@ -512,15 +508,11 @@ def cmd_report(ctx: RunContext) -> int:
     grades: list[verse.VerseGrade] = []
     questions: list[verse.VerseQuestion] = []
     if scorecards_path.exists():
-        meta, records = read_artifact(scorecards_path)
-        metas["scorecards"] = meta
-        scorecards = [ruler.scorecard_from_record(r, str(scorecards_path)) for r in records]
+        metas["scorecards"], scorecards = read_artifact(scorecards_path, ruler.scorecard_from_record)
     if questions_path.exists():
-        metas["questions"], questions = read_questions(questions_path)
+        metas["questions"], questions = read_artifact(questions_path, verse.question_from_record)
     if grades_path.exists():
-        meta, records = read_artifact(grades_path)
-        metas["grades"] = meta
-        grades = [verse.grade_from_record(r, str(grades_path)) for r in records]
+        metas["grades"], grades = read_artifact(grades_path, verse.grade_from_record)
 
     if not scorecards and not grades:
         raise EmptyRun("no completed scores found; run `ruler` or `verse grade` first")

@@ -8,7 +8,6 @@ audited later, and nothing is ever evicted automatically.
 """
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import logging
@@ -224,15 +223,46 @@ class CompletionLog:
             self._end = end
 
 
-@functools.cache
-def _opener():
-    """urllib's default opener (proxy variables, TLS verification) with redirects
-    refused: following one would carry the Authorization header to its Location."""
+def _connect(endpoint: str, timeout: float) -> tuple[Any, str, dict[str, str]]:
+    """A new, unopened connection for `endpoint`, with the request target and extra
+    headers to send on it, through the proxy that urllib would pick for it."""
+    import base64  # only the live transport needs these
+    import http.client
+    import ssl
+    import urllib.parse
     import urllib.request
-    class RefuseRedirect(urllib.request.HTTPRedirectHandler):
-        def redirect_request(self, *args, **kwargs):
-            return None  # the default error handler then raises the 3xx as an HTTPError
-    return urllib.request.build_opener(RefuseRedirect)
+
+    url = urllib.parse.urlsplit(endpoint)
+    if url.scheme not in ("http", "https") or not url.hostname:
+        raise ValueError(f"endpoint must be an http or https URL, got {endpoint!r}")
+    host, port, tls = url.hostname, url.port, url.scheme == "https"
+    target = (url.path or "/") + (f"?{url.query}" if url.query else "")
+    headers: dict[str, str] = {}
+    proxy = urllib.request.getproxies().get(url.scheme)
+    if proxy and urllib.request.proxy_bypass(url.netloc):
+        proxy = None
+    if proxy:
+        via = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+        host, port = via.hostname, via.port
+        if via.username and via.password:
+            user = f"{urllib.parse.unquote(via.username)}:{urllib.parse.unquote(via.password)}"
+            headers["Proxy-Authorization"] = "Basic " + base64.b64encode(user.encode()).decode()
+        if not tls:  # the proxy gets the absolute URI
+            tls, target = via.scheme == "https", url._replace(fragment="").geturl()
+    if tls:
+        conn = http.client.HTTPSConnection(host, port, timeout=timeout,
+                                           context=ssl.create_default_context())
+    else:
+        conn = http.client.HTTPConnection(host, port, timeout=timeout)
+    if proxy and url.scheme == "https":  # a CONNECT tunnel through the proxy, TLS end to end
+        conn.set_tunnel(url.hostname, url.port, headers=headers)
+        headers = {}
+    return conn, target, headers
+
+
+def _close_all(idle: list) -> None:
+    for conn, *_ in idle:
+        conn.close()
 
 
 class Judge:
@@ -251,13 +281,17 @@ class Judge:
                 raise ValueError("mock backend requires script_path")
             self._script = MockScript.load(config.script_path)
         self._log = None if config.cache_dir is None else CompletionLog(config.cache_dir)
+        # idle kept-alive (connection, target, headers); at most one per concurrency slot
+        self._idle: list[tuple[Any, str, dict[str, str]]] = []
+        weakref.finalize(self, _close_all, self._idle)  # they live as long as the judge
 
     def map(self, work: Callable[[Any], Any], items: Sequence) -> list:
         """`work(item)` for every item, once, with outcomes in input order.
 
         A mock judge runs the items one by one in the calling thread.  A live
         judge runs them on a pool of `concurrency_limit` threads, so that that
-        many calls can wait on the backend at once.
+        many calls can wait on the backend at once, over at most that many
+        kept-alive connections, which later calls of `map` reuse.
         """
         if self._script is not None:
             return [work(item) for item in items]
@@ -346,37 +380,61 @@ class Judge:
     # -- live transport --
 
     def _post(self, payload: dict[str, Any]) -> str:
-        """Single HTTP attempt against a chat-completions endpoint, on a
-        connection of its own.  Raises ConnectionError or TimeoutError when no
-        answer came, BackendResponseError for an error status or a malformed body."""
+        """Single HTTP attempt against a chat-completions endpoint, on an idle
+        kept-alive connection or else a new one.  A reused connection that the
+        server has closed is replaced once, silently: that is not a retry.
+        Raises ConnectionError or TimeoutError when no answer came,
+        BackendResponseError for a status other than 2xx (redirects are not
+        followed, so Authorization stays with the endpoint) or a malformed body."""
         import http.client  # only the live transport needs these
-        import urllib.error
-        import urllib.request
+        import socket
 
         api_key = os.environ.get(self.config.api_key_env, "")
         headers = {"Content-Type": "application/json"}
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
-        # a request with a body is a POST
-        request = urllib.request.Request(self.config.endpoint, json.dumps(payload).encode(), headers)
-        try:
-            with _opener().open(request, timeout=self.config.timeout) as resp:
-                status, body = resp.status, resp.read()
-        except urllib.error.HTTPError as exc:
-            exc.close()
-            retry_after = (exc.headers.get("Retry-After") or "").strip()
+        body = json.dumps(payload).encode()
+        reused = True
+        while True:
+            with self._lock:
+                idle = self._idle.pop() if reused and self._idle else None
+            reused = idle is not None
+            conn, target, extra = idle or _connect(self.config.endpoint, self.config.timeout)
+            try:
+                try:
+                    conn.request("POST", target, body, {**headers, **extra})
+                    # a server that sends headers and body apart with Nagle on would
+                    # otherwise wait for this side's delayed ACK, about 40 ms
+                    if hasattr(socket, "TCP_QUICKACK"):
+                        conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_QUICKACK, 1)
+                    resp = conn.getresponse()
+                except (http.client.RemoteDisconnected, BrokenPipeError, ConnectionResetError):
+                    if not reused:
+                        raise
+                    conn.close()  # closed by the server while idle
+                    reused = False
+                    continue
+                data = resp.read()
+            except TimeoutError:
+                conn.close()
+                raise
+            except (OSError, http.client.HTTPException) as exc:
+                conn.close()
+                raise ConnectionError(repr(exc)) from exc
+            break
+        if resp.will_close:
+            conn.close()
+        else:
+            with self._lock:
+                self._idle.append((conn, target, extra))
+        if not 200 <= resp.status < 300:
+            retry_after = (resp.getheader("Retry-After") or "").strip()
             delay = float(retry_after) if retry_after.isascii() and retry_after.isdigit() else None
-            raise BackendResponseError(exc.code, exc.reason or "", delay) from None
-        except urllib.error.URLError as exc:
-            if isinstance(exc.reason, TimeoutError):
-                raise TimeoutError(str(exc.reason)) from exc
-            raise ConnectionError(str(exc.reason)) from exc
-        except http.client.HTTPException as exc:
-            raise ConnectionError(repr(exc)) from exc
+            raise BackendResponseError(resp.status, resp.reason or "", delay)
         try:
-            return json.loads(body)["choices"][0]["message"]["content"]
+            return json.loads(data)["choices"][0]["message"]["content"]
         except (ValueError, LookupError, TypeError) as exc:
-            raise BackendResponseError(status, f"malformed body ({exc!r})") from exc
+            raise BackendResponseError(resp.status, f"malformed body ({exc!r})") from exc
 
     def _sleep(self, seconds: float) -> None:
         time.sleep(seconds)

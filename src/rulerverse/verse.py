@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 from .corpus import ParagraphPair, _item_key, _require
@@ -273,7 +273,7 @@ def aggregate_categories(
 # -- record (de)serialization --
 
 def question_to_record(q: VerseQuestion) -> dict:
-    return asdict(q)
+    return dict(q.__dict__)  # the fields in order, without dataclasses.asdict's deep copy
 
 
 def question_from_record(record: dict, where: str = "question") -> VerseQuestion:

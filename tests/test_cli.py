@@ -453,6 +453,15 @@ def _rubric_with_level_named_one() -> str:
     pytest.param(["verse", "classify"], "--questions",
                  json.dumps({"question_id": "q", "story_id": "st-arbor", "index": 0, "text": 7}),
                  id="question-text-not-a-string"),
+    pytest.param(["verse", "classify"], "--questions", "\n".join(
+                 [json.dumps({"_meta": {}}),
+                  json.dumps({"question_id": "q1", "story_id": "st-arbor", "index": 0, "text": "t"}),
+                  json.dumps({"question_id": "q2", "story_id": "st-arbor", "index": 0, "text": 7})]),
+                 id="question-text-not-a-string-on-line-3"),
+    pytest.param(["report"], "--grades", "\n".join(
+                 [json.dumps({"question_id": "q1", "system_id": "s", "score": 2}),
+                  json.dumps({"question_id": "q2", "system_id": "s", "score": "3"})]),
+                 id="grade-score-not-an-integer-on-line-2"),
     pytest.param(["verse", "grade"], "--questions",
                  json.dumps({"question_id": "q", "story_id": "st-arbor", "index": "0", "text": "t",
                              "category": "Overall Consistency and Cohesion"}),
@@ -471,13 +480,15 @@ def _rubric_with_level_named_one() -> str:
                  id="manifest-system-id-not-a-string"),
 ])
 def test_malformed_input_file_is_a_format_error(tmp_path, capsys, stage, flag, content):
-    """A malformed JSON input ends in exit 1 and a payload naming the file."""
+    """A malformed JSON input ends in exit 1 and a payload naming the file; a
+    file of several records names the line of the bad one, its last."""
     path = tmp_path / "input.json"
     path.write_text(content + "\n", encoding="utf-8")
     assert main(stage + common_flags(tmp_path) + [flag, str(path)]) == 1
     err = _error_payload(capsys)
     assert err["error"] == "CorpusFormatError"
-    assert str(path) in err["message"]
+    lines = content.count("\n") + 1
+    assert (f"{path}:{lines}:" if lines > 1 else str(path)) in err["message"]
 
 
 @pytest.mark.parametrize("script, rule", [

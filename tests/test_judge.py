@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import os
+import socket
 import subprocess
 import sys
 import threading
@@ -470,6 +472,133 @@ def test_importing_the_cli_leaves_requests_out():
     )
     assert out.stdout.strip() == "[]"
 
+
+
+# -- kept-alive connections --
+
+class _KeepAliveHandler(BaseHTTPRequestHandler):
+    """HTTP/1.1: answers each POST with OK_BODY and keeps the connection open,
+    unless the server's `drop` is set: then it closes it after the answer,
+    without saying so in the answer.  Counts connections and records each
+    request target.  Like any BaseHTTPRequestHandler it sends the headers and
+    the body in two sends, with Nagle on."""
+
+    protocol_version = "HTTP/1.1"
+
+    def setup(self):
+        super().setup()
+        with self.server.lock:
+            self.server.connections += 1
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        with self.server.lock:
+            self.server.targets.append(self.path)
+        data = OK_BODY.encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+        self.close_connection = self.server.drop
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def keepalive():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _KeepAliveHandler)
+    server.lock, server.connections, server.targets, server.drop = threading.Lock(), 0, [], False
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    yield server
+    server.shutdown()
+    server.server_close()
+
+
+def _keepalive_judge(tmp_path, server, jobs=1, endpoint=None):
+    config = _live_config(tmp_path, retries=2)
+    config.endpoint = endpoint or _stub_url(server)
+    config.timeout, config.concurrency_limit = 5.0, jobs
+    judge = Judge(config)
+    judge.sleeps = []
+    judge._sleep = judge.sleeps.append
+    return judge
+
+
+@pytest.mark.parametrize("jobs", [2, 8])
+def test_map_reuses_at_most_jobs_connections(tmp_path, keepalive, jobs):
+    judge = _keepalive_judge(tmp_path, keepalive, jobs=jobs)
+    prompts = [f"prompt {i}" for i in range(40)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads switch often while they share the idle list
+    try:
+        texts = judge.map(lambda p: judge.complete(JudgeRequest("s", p)).text, prompts)
+    finally:
+        sys.setswitchinterval(interval)
+    assert texts == ["Score: 4"] * 40
+    assert len(keepalive.targets) == 40
+    assert 1 <= keepalive.connections <= jobs
+    assert judge.sleeps == []
+
+
+def test_connection_closed_while_idle_is_replaced_without_a_retry(tmp_path, keepalive):
+    keepalive.drop = True
+    judge = _keepalive_judge(tmp_path, keepalive)
+    assert judge.complete(JudgeRequest("s", "first")).text == "Score: 4"
+    assert judge.complete(JudgeRequest("s", "second")).text == "Score: 4"
+    assert (len(keepalive.targets), keepalive.connections) == (2, 2)
+    assert judge.sleeps == []
+
+
+@pytest.mark.skipif(not hasattr(socket, "TCP_QUICKACK"), reason="needs TCP_QUICKACK")
+def test_answers_in_two_sends_wait_for_no_delayed_ack(tmp_path, keepalive):
+    judge = _keepalive_judge(tmp_path, keepalive)
+    start = time.perf_counter()
+    for i in range(20):
+        assert judge.complete(JudgeRequest("s", f"prompt {i}")).text == "Score: 4"
+    # a delayed ACK costs about 40 ms per call on a reused connection
+    assert time.perf_counter() - start < 20 * 0.040 / 2
+    assert keepalive.connections == 1
+
+
+def _only_loopback(monkeypatch) -> list:
+    """Proxy variables cleared, and socket.create_connection refusing every host but
+    127.0.0.1 (so no name is ever resolved); returns the addresses asked for."""
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
+    real, asked = socket.create_connection, []
+
+    def connect(address, *args, **kwargs):
+        asked.append(address)
+        if address[0] != "127.0.0.1":
+            raise ConnectionRefusedError(f"{address[0]} is not loopback")
+        return real(address, *args, **kwargs)
+
+    monkeypatch.setattr(socket, "create_connection", connect)
+    return asked
+
+
+def test_http_proxy_gets_the_absolute_uri(tmp_path, keepalive, monkeypatch):
+    asked = _only_loopback(monkeypatch)
+    monkeypatch.setenv("http_proxy", f"http://127.0.0.1:{keepalive.server_address[1]}")
+    endpoint = "http://judge.invalid/v1/chat/completions"
+    judge = _keepalive_judge(tmp_path, keepalive, endpoint=endpoint)
+    assert judge.complete(JudgeRequest("s", "u")).text == "Score: 4"
+    assert keepalive.targets == [endpoint]
+    assert asked == [("127.0.0.1", keepalive.server_address[1])]
+
+
+def test_no_proxy_host_is_not_sent_to_the_proxy(tmp_path, keepalive, monkeypatch):
+    asked = _only_loopback(monkeypatch)
+    monkeypatch.setenv("http_proxy", f"http://127.0.0.1:{keepalive.server_address[1]}")
+    monkeypatch.setenv("no_proxy", "judge.invalid")
+    judge = _keepalive_judge(tmp_path, keepalive, endpoint="http://judge.invalid/v1/chat/completions")
+    with pytest.raises(TransportExhausted, match="not loopback"):
+        judge.complete(JudgeRequest("s", "u"))
+    assert keepalive.targets == []
+    assert asked == [("judge.invalid", 80)] * 3
 
 # -- the stage runner --
 
