@@ -23,14 +23,10 @@ from typing import Any, Callable, Iterable, Sequence
 
 from . import corpus as corpus_mod
 from . import metrics, report, ruler, translate, verse
-from .corpus import (
-    CandidateSet,
-    Corpus,
-    SampleManifest,
-    VERSE_CHANNEL,
-)
-from .errors import EmptyRun, EvalError, MixedFingerprint, UnclassifiedQuestion
-from .judge import Judge, JudgeConfig
+from .corpus import VERSE_CHANNEL, CandidateSet, Corpus, ParagraphPair, SampleManifest
+from .errors import (CorpusFormatError, EmptyRun, EvalError, MixedFingerprint,
+                     UnclassifiedQuestion)
+from .judge import BACKEND_DEFAULT, Judge, JudgeConfig
 from .metrics import RatingVector
 from .ruler import ItemFailure, PromptOptions, split_failures
 
@@ -178,6 +174,8 @@ class RunContext:
         }
         if judge is not None:
             summary.update(judge.stats)
+        if failures:
+            log.warning("%s: %d of %d items failed", name, len(failures), items_total)
         if extra:
             summary.update(extra)
         write_json(self.out_dir / f"{name}_summary.json", summary)
@@ -242,13 +240,23 @@ def cmd_translate(ctx: RunContext) -> int:
         require_dialogue_mix=not ctx.args.no_dialogue_mix,
     )
     judge = ctx.judge()
-    result = translate.translate_corpus(corpus, spec, judge, system_id=ctx.args.system_id)
-    result.candidates.provenance["fingerprint"] = ctx.fingerprint
-    out_path = ctx.out_dir / f"candidates_{_sanitize(result.candidates.system_id)}.jsonl"
-    corpus_mod.save_candidates(result.candidates, out_path)
+    system_id = ctx.args.system_id or judge.config.model_id
+    pairs = list(corpus.pairs())
+
+    def work(pair: ParagraphPair):
+        try:
+            return (pair.story_id, pair.index), translate.translate_pair(corpus, pair, spec, judge)
+        except EvalError as exc:
+            return ItemFailure.of(exc, "translate", pair.story_id, pair.index, system_id)
+
+    done, failures = split_failures(judge.map(work, pairs))
+    provenance = {"fingerprint": ctx.fingerprint, "model_id": judge.config.model_id,
+                  "spec_fingerprint": spec.fingerprint(), "temperature": BACKEND_DEFAULT}
+    out_path = ctx.out_dir / f"candidates_{_sanitize(system_id)}.jsonl"
+    corpus_mod.save_candidates(CandidateSet(system_id, dict(done), provenance), out_path)
     ctx.write_summary(
-        "translate", judge, corpus.n_paragraphs, result.failures,
-        extra={"system_id": result.candidates.system_id, "output": str(out_path)},
+        "translate", judge, len(pairs), failures,
+        extra={"system_id": system_id, "output": str(out_path)},
     )
     return 0
 
@@ -263,27 +271,26 @@ def cmd_ruler(ctx: RunContext) -> int:
     if ctx.args.shots_bank:
         shots = ruler.load_example_bank(ctx.args.shots_bank)
 
-    all_cards: list[ruler.RubricScorecard] = []
-    failures: list[ItemFailure] = []
-    total = 0
-    for cands in candidate_sets:
-        total += len(cands.translations)
-        result = ruler.score_candidate(corpus, cands, rubric, options, judge, shots=shots)
-        all_cards.extend(result.scorecards)
-        failures.extend(result.failures)
+    # every system's paragraphs in one pass: --candidates order, then corpus order
+    items = [(cands, pair) for cands in candidate_sets for pair in corpus.pairs()
+             if (pair.story_id, pair.index) in cands.translations]
 
+    def work(item: tuple[CandidateSet, ParagraphPair]):
+        return ruler.score_item(corpus, *item, rubric, options, judge, shots)
+
+    cards, failures = split_failures(judge.map(work, items))
     options_fp = options.fingerprint()
     records = [
         ruler.scorecard_to_record(card, options_fp, judge.config.model_id)
-        for card in sorted(all_cards, key=lambda c: (c.system_id, c.story_id, c.index))
+        for card in sorted(cards, key=lambda c: (c.system_id, c.story_id, c.index))
     ]
     write_artifact(ctx.out_dir / "scorecards.jsonl", ctx.meta(judge, options), records)
-    audit = ruler.audit_honorifics(all_cards, corpus)
+    audit = ruler.audit_honorifics(cards, corpus)
     write_json(
         ctx.out_dir / "honorifics_audit.json",
         {"fingerprint": ctx.fingerprint, **asdict(audit)},
     )
-    ctx.write_summary("ruler", judge, total, failures)
+    ctx.write_summary("ruler", judge, len(items), failures)
     return 0
 
 
@@ -520,13 +527,17 @@ def cmd_report(ctx: RunContext) -> int:
 
     table = report.aggregate_table(scorecards, grades, questions, mapping=ctx.args.mapping)
     if ctx.args.baseline:
-        with open(ctx.args.baseline, newline="", encoding="utf-8") as f:
-            report.append_baseline_columns(table, list(csv.DictReader(f)))
+        try:
+            with open(ctx.args.baseline, newline="", encoding="utf-8") as f:
+                rows = list(csv.DictReader(f))
+        except UnicodeDecodeError as exc:
+            raise CorpusFormatError(f"{ctx.args.baseline}: not UTF-8 ({exc.reason})") from None
+        report.append_baseline_columns(table, rows)
     # failed items are excluded from every cell; surface their counts as footnotes
     for stage in ("ruler", "verse_gen", "verse_classify", "verse_grade"):
         summary_path = ctx.out_dir / f"{stage}_summary.json"
         if summary_path.exists():
-            stage_summary = json.loads(summary_path.read_text(encoding="utf-8"))
+            stage_summary = corpus_mod.read_json(summary_path)
             table.notes[f"{stage}_failed"] = stage_summary.get("items_failed", 0)
 
     write_csv_with_fingerprint(

@@ -138,9 +138,12 @@ class CandidateSet:
 
 def read_jsonl(path: Path | str) -> Iterator[tuple[int, dict]]:
     """Yield (line_number, record) pairs, skipping blank lines."""
-    with Path(path).open("r", encoding="utf-8") as f:
+    with Path(path).open("rb") as f:
         for lineno, line in enumerate(f, start=1):
-            s = line.strip()
+            try:
+                s = line.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise CorpusFormatError(f"{path}:{lineno}: not UTF-8 ({exc.reason})") from None
             if not s:
                 continue
             try:
@@ -199,16 +202,17 @@ def _require(record: dict, key: str, where: str) -> Any:
     return record[key]
 
 
-def _story_id(record: dict, where: str) -> str:
-    story_id = _require(record, "story_id", where)
-    if not isinstance(story_id, str) or not story_id:
-        raise CorpusFormatError(f"{where}: story_id must be a nonempty string")
-    return story_id
+def _identifier(record: dict, key: str, where: str) -> str:
+    """The record's `key` field, checked to be a nonempty string."""
+    value = _require(record, key, where)
+    if not isinstance(value, str) or not value:
+        raise CorpusFormatError(f"{where}: {key} must be a nonempty string")
+    return value
 
 
 def _item_key(record: dict, where: str) -> tuple[str, int]:
     """The record's checked (story_id, index)."""
-    story_id = _story_id(record, where)
+    story_id = _identifier(record, "story_id", where)
     index = _require(record, "index", where)
     if not isinstance(index, int) or isinstance(index, bool) or index < 0:
         raise CorpusFormatError(f"{where}: index must be a non-negative integer")
@@ -262,7 +266,7 @@ def load_corpus(paragraphs_path: Path | str, stories_path: Path | str | None = N
     if stories_path is not None:
         for lineno, record in read_jsonl(stories_path):
             where = f"{stories_path}:{lineno}"
-            story_id = _story_id(record, where)
+            story_id = _identifier(record, "story_id", where)
             if story_id not in stories:
                 raise UnknownItem(f"{where}: metadata for unknown story {story_id!r}")
             if "summary" not in record:
@@ -318,7 +322,7 @@ def load_candidates(path: Path | str, corpus: Corpus) -> CandidateSet:
             if not isinstance(provenance, dict):
                 raise CorpusFormatError(f"{where}: _provenance must be an object")
             continue
-        sid = _require(record, "system_id", where)
+        sid = _identifier(record, "system_id", where)
         if system_id is None:
             system_id = sid
         elif sid != system_id:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import re
 from dataclasses import asdict, dataclass
 from enum import Enum
@@ -17,8 +16,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import (CandidateSet, Corpus, ParagraphPair, _item_key, _require, _story_id, read_json,
-                     read_jsonl)
+from .corpus import (CandidateSet, Corpus, ParagraphPair, _identifier, _item_key, _require,
+                     read_json, read_jsonl)
 from .errors import (
     CorpusFormatError,
     EmptyCandidate,
@@ -28,8 +27,6 @@ from .errors import (
     Unparsable,
 )
 from .judge import Judge, JudgeRequest
-
-log = logging.getLogger(__name__)
 
 K_SHOT_CHOICES = (0, 5, 10, 15, 20)
 
@@ -156,7 +153,7 @@ def load_example_bank(path: Path | str) -> list[ScoredExample]:
             raise CorpusFormatError(f"{where}: score must be an integer in 1..5")
         bank.append(
             ScoredExample(
-                story_id=_story_id(record, where),
+                story_id=_identifier(record, "story_id", where),
                 criterion=criterion,
                 source_text=str(_require(record, "source_text", where)),
                 candidate_text=str(_require(record, "candidate_text", where)),
@@ -315,48 +312,31 @@ def split_failures(outcomes: Sequence) -> tuple[list, list[ItemFailure]]:
     return [o for o in outcomes if not isinstance(o, ItemFailure)], failures
 
 
-@dataclass
-class RulerRunResult:
-    scorecards: list[RubricScorecard]
-    failures: list[ItemFailure]
-
-
-def score_candidate(
+def score_item(
     corpus: Corpus,
     candidates: CandidateSet,
+    pair: ParagraphPair,
     rubric: RubricSet,
     options: PromptOptions,
     judge: Judge,
     shots: Sequence[ScoredExample] = (),
-) -> RulerRunResult:
-    """Score every covered paragraph on all four criteria.
-
-    Judge failures are recorded per item and the run continues; scorecards come
-    back in corpus order regardless of worker completion order.
-    """
-    pairs = [p for p in corpus.pairs() if (p.story_id, p.index) in candidates.translations]
-    system_id = candidates.system_id
-
-    def work(pair: ParagraphPair) -> RubricScorecard | ItemFailure:
-        candidate_text = candidates.translations[(pair.story_id, pair.index)]
-        summary = corpus.story(pair.story_id).summary
-        scores: dict[Criterion, int] = {}
-        for criterion in CRITERIA:
-            try:
-                request = build_ruler_prompt(
-                    criterion, pair, candidate_text, rubric, summary, options, shots
-                )
-                scores[criterion] = parse_likert_score(judge.complete(request).text)
-            except EvalError as exc:
-                return ItemFailure.of(
-                    exc, f"ruler:{criterion.value}", pair.story_id, pair.index, system_id
-                )
-        return RubricScorecard(system_id, pair.story_id, pair.index, scores)
-
-    result = RulerRunResult(*split_failures(judge.map(work, pairs)))
-    if result.failures:
-        log.warning("ruler run: %d of %d items failed", len(result.failures), len(pairs))
-    return result
+) -> RubricScorecard | ItemFailure:
+    """One paragraph's scores on all four criteria, or the failure of its first
+    failing criterion."""
+    candidate_text = candidates.translations[(pair.story_id, pair.index)]
+    summary = corpus.story(pair.story_id).summary
+    scores: dict[Criterion, int] = {}
+    for criterion in CRITERIA:
+        try:
+            request = build_ruler_prompt(
+                criterion, pair, candidate_text, rubric, summary, options, shots
+            )
+            scores[criterion] = parse_likert_score(judge.complete(request).text)
+        except EvalError as exc:
+            return ItemFailure.of(
+                exc, f"ruler:{criterion.value}", pair.story_id, pair.index, candidates.system_id
+            )
+    return RubricScorecard(candidates.system_id, pair.story_id, pair.index, scores)
 
 
 @dataclass
@@ -419,7 +399,7 @@ def scorecard_from_record(record: dict, where: str = "scorecard") -> RubricScore
             isinstance(v, int) and not isinstance(v, bool) for v in scores.values()):
         raise CorpusFormatError(f"{where}: scores must map each of {names} to an integer")
     return RubricScorecard(
-        system_id=_require(record, "system_id", where),
+        system_id=_identifier(record, "system_id", where),
         story_id=story_id,
         index=index,
         scores={Criterion(k): v for k, v in scores.items()},

@@ -10,16 +10,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import re
 from dataclasses import asdict, dataclass
 
-from .corpus import CandidateSet, Corpus, ParagraphPair
-from .errors import EvalError, InsufficientBank
+from .corpus import Corpus, ParagraphPair
+from .errors import InsufficientBank
 from .judge import BACKEND_DEFAULT, Judge, JudgeRequest
-from .ruler import ItemFailure, split_failures
-
-log = logging.getLogger(__name__)
 
 GRANULARITIES = ("paragraph", "sentence")
 
@@ -112,56 +108,16 @@ def split_sentences(text: str) -> list[str]:
     return [s for s in parts if s]
 
 
-@dataclass
-class TranslateRunResult:
-    candidates: CandidateSet
-    failures: list[ItemFailure]
-
-
-def translate_corpus(
-    corpus: Corpus,
-    spec: TranslationPromptSpec,
-    judge: Judge,
-    system_id: str | None = None,
-) -> TranslateRunResult:
-    """Produce one candidate per paragraph; per-item judge failures are isolated."""
-    system = system_id or judge.config.model_id
-    pairs = list(corpus.pairs())
-
-    def work(pair: ParagraphPair) -> tuple[tuple[str, int], str] | ItemFailure:
-        summary = corpus.story(pair.story_id).summary
-        try:
-            shots = (
-                select_shot_pairs(corpus, spec, exclude_story=pair.story_id)
-                if spec.n_shots > 0
-                else []
-            )
-            if spec.granularity == "sentence":
-                rendered = []
-                for sentence in split_sentences(pair.source_text):
-                    request = build_translation_prompt(
-                        sentence, shots, summary, spec.include_summary
-                    )
-                    rendered.append(judge.complete(request).text.strip())
-                text = " ".join(rendered)
-            else:
-                request = build_translation_prompt(
-                    pair.source_text, shots, summary, spec.include_summary
-                )
-                text = judge.complete(request).text.strip()
-            return (pair.story_id, pair.index), text
-        except EvalError as exc:
-            return ItemFailure.of(exc, "translate", pair.story_id, pair.index, system)
-
-    done, failures = split_failures(judge.map(work, pairs))
-    translations = dict(done)
-
-    provenance = {
-        "model_id": judge.config.model_id,
-        "spec_fingerprint": spec.fingerprint(),
-        "temperature": BACKEND_DEFAULT,
-    }
-    candidates = CandidateSet(system_id=system, translations=translations, provenance=provenance)
-    if failures:
-        log.warning("translate run: %d of %d paragraphs failed", len(failures), len(pairs))
-    return TranslateRunResult(candidates=candidates, failures=failures)
+def translate_pair(
+    corpus: Corpus, pair: ParagraphPair, spec: TranslationPromptSpec, judge: Judge
+) -> str:
+    """One paragraph's candidate text: the paragraph translated whole, or its
+    sentences translated one by one and joined.  Raises EvalError on failure."""
+    summary = corpus.story(pair.story_id).summary
+    shots = select_shot_pairs(corpus, spec, exclude_story=pair.story_id) if spec.n_shots > 0 else []
+    sources = (split_sentences(pair.source_text) if spec.granularity == "sentence"
+               else [pair.source_text])
+    return " ".join(
+        judge.complete(build_translation_prompt(s, shots, summary, spec.include_summary)).text.strip()
+        for s in sources
+    )

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
-from .corpus import ParagraphPair, _item_key, _require
+from .corpus import ParagraphPair, _identifier, _item_key, _require
 from .errors import (
     CorpusFormatError,
     EmptyCandidate,
@@ -301,7 +301,7 @@ def grade_from_record(record: dict, where: str = "grade") -> VerseGrade:
     if not isinstance(score, int) or isinstance(score, bool):
         raise CorpusFormatError(f"{where}: score must be an integer")
     return VerseGrade(
-        question_id=_require(record, "question_id", where),
-        system_id=_require(record, "system_id", where),
+        question_id=_identifier(record, "question_id", where),
+        system_id=_identifier(record, "system_id", where),
         score=score,
     )

@@ -16,10 +16,10 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES, make_judge, write_synthetic_corpus
+from conftest import FIXTURES, write_synthetic_corpus
 from oracles import alpha_coincidence_oracle, rho_oracle, tau_b_oracle
 from rulerverse.cli import main
-from rulerverse.corpus import load_candidates, load_corpus, sample_items
+from rulerverse.corpus import load_corpus, sample_items
 from rulerverse.metrics import kendall_tau_b, krippendorff_alpha, per_label_prf, spearman_rho
 from rulerverse.report import (
     RULER_SCALE,
@@ -27,15 +27,7 @@ from rulerverse.report import (
     aggregate_table,
     to_percentage,
 )
-from rulerverse.ruler import (
-    CRITERIA,
-    Criterion,
-    PromptOptions,
-    RubricScorecard,
-    audit_honorifics,
-    bundled_rubric,
-    score_candidate,
-)
+from rulerverse.ruler import CRITERIA, Criterion, RubricScorecard
 from rulerverse.verse import CATEGORIES, VerseGrade, VerseQuestion
 
 
@@ -212,25 +204,33 @@ def test_criterion_7_category_closure_and_share_conservation(pipeline_run):
 
 # 5 ---------------------------------------------------------------------------
 
+def _ruler_alpha(out_dir: Path, script: Path) -> tuple[list[dict], dict]:
+    """The scorecard records and the honorifics audit of a `ruler` run over system alpha."""
+    assert main([
+        "ruler", "--corpus", str(FIXTURES / "corpus.jsonl"),
+        "--stories", str(FIXTURES / "stories.jsonl"),
+        "--candidates", str(FIXTURES / "candidates_alpha.jsonl"),
+        "--script", str(script), "--out", str(out_dir), "--run-id", "alpha",
+    ]) == 0
+    lines = (out_dir / "alpha" / "scorecards.jsonl").read_text(encoding="utf-8").splitlines()
+    records = [r for r in map(json.loads, lines) if "_meta" not in r]
+    return records, json.loads((out_dir / "alpha" / "honorifics_audit.json").read_text())
+
+
 def test_criterion_5_honorifics_default_and_audit(tmp_path, fixture_corpus):
     with criterion(5, "non-dialogue paragraphs score honorifics 5 under a "
                       "rubric-following mock; audit flags a non-compliant one"):
-        cands = load_candidates(FIXTURES / "candidates_alpha.jsonl", fixture_corpus)
-        compliant_judge = make_judge(tmp_path / "ok", script=FIXTURES / "mock_script.json")
-        result = score_candidate(
-            fixture_corpus, cands, bundled_rubric(), PromptOptions(), compliant_judge
-        )
+        scorecards, audit = _ruler_alpha(tmp_path / "ok", FIXTURES / "mock_script.json")
         non_dialogue = [
             card
-            for card in result.scorecards
-            if fixture_corpus.pair(card.story_id, card.index).has_dialogue is False
+            for card in scorecards
+            if fixture_corpus.pair(card["story_id"], card["index"]).has_dialogue is False
         ]
         assert non_dialogue
-        assert all(card.scores[Criterion.HONORIFICS] == 5 for card in non_dialogue)
-        audit = audit_honorifics(result.scorecards, fixture_corpus)
-        assert audit.checked == len(non_dialogue)
-        assert audit.compliant == audit.checked
-        assert audit.violations == []
+        assert all(card["scores"][Criterion.HONORIFICS.value] == 5 for card in non_dialogue)
+        assert audit["checked"] == len(non_dialogue)
+        assert audit["compliant"] == audit["checked"]
+        assert audit["violations"] == []
 
         # same script with one deliberately non-compliant response prepended
         script = json.loads((FIXTURES / "mock_script.json").read_text(encoding="utf-8"))
@@ -241,12 +241,10 @@ def test_criterion_5_honorifics_default_and_audit(tmp_path, fixture_corpus):
                 "response": "Score: 2",
             },
         )
-        bad_judge = make_judge(tmp_path / "bad", script=script)
-        result = score_candidate(
-            fixture_corpus, cands, bundled_rubric(), PromptOptions(), bad_judge
-        )
-        audit = audit_honorifics(result.scorecards, fixture_corpus)
-        assert audit.violations == [
+        bad_script = tmp_path / "bad_script.json"
+        bad_script.write_text(json.dumps(script), encoding="utf-8")
+        _, audit = _ruler_alpha(tmp_path / "bad", bad_script)
+        assert audit["violations"] == [
             {"system_id": "alpha", "story_id": "st-arbor", "index": 1, "score": 2}
         ]
 

@@ -478,6 +478,20 @@ def _rubric_with_level_named_one() -> str:
                  json.dumps({"seed": 1, "n_per_story": 1, "q_per_item": 0, "items": [
                      {"story_id": "st-arbor", "index": 0, "system_id": 5}]}),
                  id="manifest-system-id-not-a-string"),
+    pytest.param(["validate"], "--candidates",
+                 json.dumps({"system_id": 7, "story_id": "st-arbor", "index": 0, "text": "t"}),
+                 id="candidate-system-id-not-a-string"),
+    pytest.param(["ruler"], "--candidates",
+                 json.dumps({"system_id": "", "story_id": "st-arbor", "index": 0, "text": "t"}),
+                 id="candidate-system-id-empty"),
+    pytest.param(["report"], "--scorecards",
+                 json.dumps({"system_id": 7, "story_id": "st-arbor", "index": 0, "scores": {
+                     "honorifics": 5, "lexical": 4, "syntax": 3, "content": 2}}),
+                 id="scorecard-system-id-not-a-string"),
+    pytest.param(["report"], "--grades", "\n".join(
+                 [json.dumps({"question_id": "q1", "system_id": "s", "score": 2}),
+                  json.dumps({"question_id": 2, "system_id": "s", "score": 3})]),
+                 id="grade-question-id-not-a-string-on-line-2"),
 ])
 def test_malformed_input_file_is_a_format_error(tmp_path, capsys, stage, flag, content):
     """A malformed JSON input ends in exit 1 and a payload naming the file; a
@@ -563,6 +577,28 @@ def test_non_numeric_baseline_cell_names_its_column(tmp_path, capsys):
     err = _error_payload(capsys)
     assert err["error"] == "CorpusFormatError"
     assert "'BLEU'" in err["message"] and "'n/a'" in err["message"]
+
+
+def test_undecodable_baseline_names_the_file(tmp_path, capsys):
+    flags = common_flags(tmp_path)
+    assert main(["ruler"] + flags) == 0
+    baseline = tmp_path / "baseline.csv"
+    baseline.write_bytes(b"system_id,BLEU\nalpha,31.5\nbeta\xff,30.0\n")
+    assert main(["report"] + flags + ["--baseline", str(baseline)]) == 1
+    err = _error_payload(capsys)
+    assert err["error"] == "CorpusFormatError"
+    assert f"{baseline}: not UTF-8" in err["message"]
+
+
+def test_torn_stage_summary_is_a_format_error(tmp_path, capsys):
+    flags = common_flags(tmp_path)
+    assert main(["ruler"] + flags) == 0
+    summary = tmp_path / "out" / "run1" / "ruler_summary.json"
+    summary.write_text(summary.read_text(encoding="utf-8")[:40], encoding="utf-8")
+    assert main(["report"] + flags) == 1
+    err = _error_payload(capsys)
+    assert err["error"] == "CorpusFormatError"
+    assert str(summary) in err["message"]
 
 
 def test_jobs_below_one_in_config_rejected(tmp_path, capsys):

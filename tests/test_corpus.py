@@ -101,6 +101,15 @@ def test_malformed_line_reports_line_number(tmp_path):
         load_corpus(path)
 
 
+def test_undecodable_line_reports_line_number(tmp_path):
+    path = tmp_path / "c.jsonl"
+    good = json.dumps({"story_id": "s", "index": 0, "source_text": "a", "references": ["번역"]},
+                      ensure_ascii=False)
+    path.write_bytes(good.encode("utf-8") + b'\n{"story_id": "s", "index": 1, "source_text": "\xff"}\n')
+    with pytest.raises(CorpusFormatError, match=f"{path}:2: not UTF-8"):
+        load_corpus(path)
+
+
 def test_missing_field_reported(tmp_path):
     path = _write_lines(tmp_path / "c.jsonl", [{"story_id": "s", "index": 0}])
     with pytest.raises(CorpusFormatError, match="source_text"):

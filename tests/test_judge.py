@@ -32,7 +32,8 @@ from rulerverse.judge import (
     cache_key,
     prompt_hash,
 )
-from rulerverse.ruler import CRITERIA, PromptOptions, build_ruler_prompt, bundled_rubric, score_candidate
+from rulerverse.ruler import (CRITERIA, PromptOptions, build_ruler_prompt, bundled_rubric, score_item,
+                             split_failures)
 
 SCRIPT = {
     "rules": [
@@ -339,7 +340,8 @@ class _StubHandler(BaseHTTPRequestHandler):
 def _serve_stub():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
     server.seen, server.script, server.delay, server.auth = 0, [], 0.0, []
-    threading.Thread(target=server.serve_forever, daemon=True).start()
+    threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05},
+                     daemon=True).start()
     return server
 
 
@@ -510,7 +512,8 @@ class _KeepAliveHandler(BaseHTTPRequestHandler):
 def keepalive():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _KeepAliveHandler)
     server.lock, server.connections, server.targets, server.drop = threading.Lock(), 0, [], False
-    threading.Thread(target=server.serve_forever, daemon=True).start()
+    threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05},
+                     daemon=True).start()
     yield server
     server.shutdown()
     server.server_close()
@@ -656,12 +659,13 @@ def test_live_runner_sends_only_misses_to_workers(tmp_path, fixture_corpus):
     for criterion in CRITERIA[:2]:
         filler.complete(prompt(pairs[5], criterion))
 
-    judge = _ScriptedLive(_live_config(tmp_path))
-    result = score_candidate(fixture_corpus, cands, rubric, options, judge)
-    expected = score_candidate(fixture_corpus, cands, rubric, options, make_judge(tmp_path / "ref"))
+    judge, reference = _ScriptedLive(_live_config(tmp_path)), make_judge(tmp_path / "ref")
+    scorecards, failures = split_failures(judge.map(
+        lambda pair: score_item(fixture_corpus, cands, pair, rubric, options, judge), pairs))
+    expected = [score_item(fixture_corpus, cands, pair, rubric, options, reference) for pair in pairs]
 
-    assert [c.scores for c in result.scorecards] == [c.scores for c in expected.scorecards]
-    assert not result.failures
+    assert [c.scores for c in scorecards] == [c.scores for c in expected]
+    assert not failures
     # every item runs once, on the pool: each prompt is asked exactly once
     assert len(judge.served) == 4 * 10
     assert judge.stats == {"backend_calls": 18, "cache_hits": 4 * 5 + 2}

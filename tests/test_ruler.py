@@ -5,6 +5,7 @@ import json
 import pytest
 
 from conftest import FIXTURES, cache_entries, make_judge
+from rulerverse.cli import main
 from rulerverse.corpus import load_candidates
 from rulerverse.errors import (
     EmptyCandidate,
@@ -25,9 +26,10 @@ from rulerverse.ruler import (
     load_rubric,
     parse_likert_score,
     ruler_prompt_sections,
-    score_candidate,
+    score_item,
     scorecard_from_record,
     scorecard_to_record,
+    split_failures,
 )
 
 
@@ -253,13 +255,14 @@ def test_parse_likert_unparsable():
 def test_score_candidate_all_fives(tmp_path, fixture_corpus):
     judge = make_judge(tmp_path, script={"rules": [], "default": "Score: 5"})
     cands = load_candidates(FIXTURES / "candidates_alpha.jsonl", fixture_corpus)
-    cands = cands.subset([("st-arbor", 0), ("st-arbor", 1)])
-    result = score_candidate(
-        fixture_corpus, cands, bundled_rubric(), PromptOptions(), judge
-    )
-    assert len(result.scorecards) == 2
-    assert not result.failures
-    for card in result.scorecards:
+    scorecards, failures = split_failures([
+        score_item(fixture_corpus, cands, fixture_corpus.pair("st-arbor", i), bundled_rubric(),
+                   PromptOptions(), judge)
+        for i in (0, 1)
+    ])
+    assert len(scorecards) == 2
+    assert not failures
+    for card in scorecards:
         assert set(card.scores.values()) == {5}
 
 
@@ -275,36 +278,49 @@ def test_score_candidate_failure_isolation(tmp_path, fixture_corpus):
     }
     judge = make_judge(tmp_path, script=script)
     cands = load_candidates(FIXTURES / "candidates_alpha.jsonl", fixture_corpus)
-    cands = cands.subset([("st-arbor", 0), ("st-arbor", 1), ("st-arbor", 2)])
-    result = score_candidate(
-        fixture_corpus, cands, bundled_rubric(), PromptOptions(), judge
-    )
-    assert len(result.scorecards) == 2
-    assert len(result.failures) == 1
-    failure = result.failures[0]
+    scorecards, failures = split_failures([
+        score_item(fixture_corpus, cands, fixture_corpus.pair("st-arbor", i), bundled_rubric(),
+                   PromptOptions(), judge)
+        for i in (0, 1, 2)
+    ])
+    assert len(scorecards) == 2
+    assert len(failures) == 1
+    failure = failures[0]
     assert failure.index == 1
     assert failure.error == "OutOfRange"
     assert failure.stage == "ruler:honorifics"
 
 
 def test_score_candidate_preserves_corpus_order(tmp_path, fixture_corpus):
-    judge = make_judge(tmp_path, script={"rules": [], "default": "Score: 3"}, concurrency_limit=4)
-    cands = load_candidates(FIXTURES / "candidates_alpha.jsonl", fixture_corpus)
-    result = score_candidate(fixture_corpus, cands, bundled_rubric(), PromptOptions(), judge)
-    keys = [(c.story_id, c.index) for c in result.scorecards]
-    assert keys == [(p.story_id, p.index) for p in fixture_corpus.pairs()]
+    # every item fails its first criterion, so the summary lists every item in run order
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps({"rules": [], "default": "Score: 9"}), encoding="utf-8")
+    assert main([
+        "ruler", "--corpus", str(FIXTURES / "corpus.jsonl"),
+        "--stories", str(FIXTURES / "stories.jsonl"),
+        "--candidates", str(FIXTURES / "candidates_beta.jsonl"),
+        str(FIXTURES / "candidates_alpha.jsonl"),
+        "--script", str(script), "--jobs", "4", "--out", str(tmp_path / "out"), "--run-id", "r",
+    ]) == 0
+    summary = json.loads((tmp_path / "out" / "r" / "ruler_summary.json").read_text("utf-8"))
+    keys = [(f["system_id"], f["story_id"], f["index"]) for f in summary["failures"]]
+    assert keys == [(system, p.story_id, p.index)
+                    for system in ("beta", "alpha") for p in fixture_corpus.pairs()]
 
 
 def test_scores_round_trip_through_parser(tmp_path, fixture_corpus):
     judge = make_judge(tmp_path)
     cands = load_candidates(FIXTURES / "candidates_beta.jsonl", fixture_corpus)
     rubric, options = bundled_rubric(), PromptOptions()
-    result = score_candidate(fixture_corpus, cands, rubric, options, judge)
+    scorecards = [
+        score_item(fixture_corpus, cands, fixture_corpus.pair(*key), rubric, options, judge)
+        for key in cands.translations
+    ]
     responses = {
         entry["request"]["user_text"]: entry["response"]["text"]
         for entry in cache_entries(tmp_path / "cache").values()
     }
-    for card in result.scorecards:
+    for card in scorecards:
         pair = fixture_corpus.pair(card.story_id, card.index)
         summary = fixture_corpus.story(card.story_id).summary
         for criterion in CRITERIA:
@@ -319,11 +335,10 @@ def test_cot_answer_scores_its_final_line(tmp_path, fixture_corpus):
     script = {"rules": [], "default": "Score: 4\nOn reflection the register is wrong.\nScore: 2"}
     judge = make_judge(tmp_path, script=script)
     cands = load_candidates(FIXTURES / "candidates_alpha.jsonl", fixture_corpus)
-    cands = cands.subset([("st-brook", 0)])
-    result = score_candidate(
-        fixture_corpus, cands, bundled_rubric(), PromptOptions(use_cot=True), judge
+    card = score_item(
+        fixture_corpus, cands, fixture_corpus.pair("st-brook", 0), bundled_rubric(),
+        PromptOptions(use_cot=True), judge,
     )
-    [card] = result.scorecards
     assert card.scores == {criterion: 2 for criterion in CRITERIA}
 
 
@@ -332,11 +347,13 @@ def test_mock_determinism_byte_stable(tmp_path, fixture_corpus):
 
     def run(subdir):
         judge = make_judge(tmp_path / subdir)
-        result = score_candidate(
-            fixture_corpus, cands, bundled_rubric(), PromptOptions(), judge
-        )
+        scorecards = [
+            score_item(fixture_corpus, cands, fixture_corpus.pair(*key), bundled_rubric(),
+                       PromptOptions(), judge)
+            for key in cands.translations
+        ]
         return json.dumps(
-            [scorecard_to_record(c, "fp", "m") for c in result.scorecards], sort_keys=True
+            [scorecard_to_record(c, "fp", "m") for c in scorecards], sort_keys=True
         )
 
     assert run("one") == run("two")

@@ -1,15 +1,20 @@
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
-from conftest import cache_entries, make_judge
+from conftest import FIXTURES, cache_entries, make_judge
+from rulerverse.cli import main
+from rulerverse.corpus import load_candidates
 from rulerverse.errors import InsufficientBank
 from rulerverse.translate import (
     TranslationPromptSpec,
     build_translation_prompt,
     select_shot_pairs,
     split_sentences,
-    translate_corpus,
+    translate_pair,
 )
 
 TRANSLATE_SCRIPT = {
@@ -25,14 +30,31 @@ def _spec(**kw):
     return TranslationPromptSpec(**defaults)
 
 
+def _translate_stage(tmp_path, script: dict, *flags: str) -> tuple[dict, Path]:
+    """Run the `translate` stage on the fixture corpus as system sysX; returns
+    its summary and the path of the candidates file it wrote."""
+    script_path = tmp_path / "script.json"
+    script_path.write_text(json.dumps(script, ensure_ascii=False), encoding="utf-8")
+    assert main([
+        "translate", "--corpus", str(FIXTURES / "corpus.jsonl"),
+        "--stories", str(FIXTURES / "stories.jsonl"), "--script", str(script_path),
+        "--out", str(tmp_path / "out"), "--run-id", "tr", "--system-id", "sysX",
+        "--no-dialogue-mix", *flags,
+    ]) == 0
+    summary = json.loads((tmp_path / "out" / "tr" / "translate_summary.json").read_text("utf-8"))
+    return summary, Path(summary["output"])
+
+
 def test_translate_covers_all_paragraphs(tmp_path, fixture_corpus):
-    judge = make_judge(tmp_path, script=TRANSLATE_SCRIPT)
+    summary, path = _translate_stage(tmp_path, TRANSLATE_SCRIPT,
+                                     "--bank-stories", "st-arbor", "st-brook")
+    candidates = load_candidates(path, fixture_corpus)
+    assert not summary["failures"]
+    assert candidates.system_id == "sysX"
+    assert len(candidates.translations) == fixture_corpus.n_paragraphs
+    assert candidates.provenance["temperature"] == "backend-default"
     spec = _spec(bank_story_ids=("st-arbor", "st-brook"))
-    result = translate_corpus(fixture_corpus, spec, judge, system_id="sysX")
-    assert not result.failures
-    assert result.candidates.system_id == "sysX"
-    assert len(result.candidates.translations) == fixture_corpus.n_paragraphs
-    assert result.candidates.provenance["temperature"] == "backend-default"
+    assert candidates.provenance["spec_fingerprint"] == spec.fingerprint()
 
 
 def test_five_shot_prompt_contains_exactly_five_examples(fixture_corpus):
@@ -91,9 +113,7 @@ def test_dialogue_mix_unsatisfiable_errors(tmp_path):
 def test_sentence_granularity(tmp_path, fixture_corpus):
     judge = make_judge(tmp_path, script=TRANSLATE_SCRIPT)
     spec = _spec(granularity="sentence", n_shots=0)
-    result = translate_corpus(fixture_corpus, spec, judge, system_id="sent")
-    # st-brook 4 has two sentences separated by a semicolon-period boundary
-    text = result.candidates.translations[("st-brook", 2)]
+    text = translate_pair(fixture_corpus, fixture_corpus.pair("st-brook", 2), spec, judge)
     assert text  # joined sentence translations
 
 
@@ -104,7 +124,8 @@ def test_split_sentences():
 
 def test_translation_uses_backend_default_temperature(tmp_path, fixture_corpus):
     judge = make_judge(tmp_path, script=TRANSLATE_SCRIPT)
-    translate_corpus(fixture_corpus, _spec(n_shots=0), judge, system_id="sysX")
+    for pair in fixture_corpus.pairs():
+        translate_pair(fixture_corpus, pair, _spec(n_shots=0), judge)
     entries = list(cache_entries(tmp_path / "cache").values())
     assert entries
     assert all(e["request"]["temperature"] is None for e in entries)
@@ -129,9 +150,9 @@ def test_translate_failure_isolation(tmp_path, fixture_corpus):
             {"contains": "jars", "response": "ok"},
         ]
     }
-    judge = make_judge(tmp_path, script=script)
-    result = translate_corpus(fixture_corpus, _spec(n_shots=0), judge, system_id="sysX")
-    assert len(result.failures) == 5
-    assert all(f.story_id == "st-brook" for f in result.failures)
-    assert all(f.error == "MockScriptMiss" for f in result.failures)
-    assert len(result.candidates.translations) == 5
+    summary, path = _translate_stage(tmp_path, script, "--shots", "0")
+    failures = summary["failures"]
+    assert len(failures) == 5
+    assert all(f["story_id"] == "st-brook" for f in failures)
+    assert all(f["error"] == "MockScriptMiss" for f in failures)
+    assert len(load_candidates(path, fixture_corpus).translations) == 5
