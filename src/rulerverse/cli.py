@@ -29,6 +29,7 @@ from .errors import (CorpusFormatError, EmptyRun, EvalError, MixedFingerprint,
 from .judge import BACKEND_DEFAULT, Judge, JudgeConfig
 from .metrics import RatingVector
 from .ruler import ItemFailure, PromptOptions, split_failures
+from .scales import RULER_SCALE, VERSE_SCALE
 
 log = logging.getLogger(__name__)
 
@@ -442,7 +443,8 @@ def cmd_agree(ctx: RunContext) -> int:
 
     agreement_reports: dict[str, metrics.AgreementReport] = {}
     for channel, raters in human.items():
-        label_set = list(range(1, 4)) if channel == VERSE_CHANNEL else list(range(1, 6))
+        scale = VERSE_SCALE if channel == VERSE_CHANNEL else RULER_SCALE
+        label_set = list(range(scale.min, scale.max + 1))
         # align each rater pair once; every statistic below reuses the alignment
         pairs = list(metrics.rater_pairs(raters))
         agreement = metrics.compute_agreement(raters, level=level, pairs=pairs)
@@ -589,7 +591,6 @@ def cmd_report(ctx: RunContext) -> int:
 # -- parser --
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON file mirroring flags; flags override it")
     parser.add_argument("--corpus", help="paragraph file (JSONL)")
     parser.add_argument("--stories", help="story metadata file (JSONL)")
     parser.add_argument("--candidates", nargs="*", help="candidate files, one per system")
@@ -622,8 +623,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 # common flags that change how a run goes, never what it computes
-OPERATIONAL_FLAGS = ("config", "jobs", "out", "run_id", "cache_dir", "timeout", "max_retries",
-                     "api_key_env")
+OPERATIONAL_FLAGS = ("jobs", "out", "run_id", "cache_dir", "timeout", "max_retries", "api_key_env")
 
 
 @functools.cache
@@ -635,13 +635,15 @@ def fingerprint_fields() -> tuple[str, ...]:
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParser]]:
+    # "@FILE" stands for the arguments in FILE, one per line
     parser = argparse.ArgumentParser(
         prog="rulerverse",
         description="Two-step literary translation evaluation pipeline",
+        fromfile_prefix_chars="@",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     leaves: list[argparse.ArgumentParser] = []
-    # every leaf shares these actions; built per call, as _apply_config_file writes into them
+    # every leaf shares these actions
     common = argparse.ArgumentParser(add_help=False)
     _add_common(common)
 
@@ -689,23 +691,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     return parser, leaves
 
 
-def _apply_config_file(argv: list[str], parser: argparse.ArgumentParser, leaves: list[argparse.ArgumentParser]) -> None:
-    probe = argparse.ArgumentParser(add_help=False)
-    probe.add_argument("--config")
-    known, _ = probe.parse_known_args(argv)
-    if not known.config:
-        return
-    data = corpus_mod.read_json(known.config)
-    valid = set()
-    for p in leaves:
-        valid.update(a.dest for a in p._actions)
-    unknown = sorted(set(data) - valid)
-    if unknown:
-        raise EvalError(f"unknown config keys: {unknown}")
-    for p in leaves:
-        p.set_defaults(**{k: v for k, v in data.items() if k in {a.dest for a in p._actions}})
-
-
 COMMANDS = {
     "validate": cmd_validate,
     "sample": cmd_sample,
@@ -724,21 +709,23 @@ VERSE_COMMANDS = {
 
 # flags with a range that argparse does not check: dest, the range in words, the check
 FLAG_RANGES = [
-    *((name, f"an integer >= {low}", lambda v, low=low: isinstance(v, int) and v >= low)
+    *((name, f"an integer >= {low}", lambda v, low=low: v >= low)
       for name, low in (("jobs", 1), ("max_retries", 0), ("reference_index", 0),
                         ("n_questions", 1), ("shots", 0), ("n_per_story", 1), ("q_per_item", 0))),
-    ("timeout", "a number > 0", lambda v: isinstance(v, (int, float)) and v > 0),
-    ("axis_min", "a number in [0, 100)", lambda v: isinstance(v, (int, float)) and 0 <= v < 100),
+    ("timeout", "a number > 0", lambda v: v > 0),
+    ("axis_min", "a number in [0, 100)", lambda v: 0 <= v < 100),
 ]
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
-    parser, leaves = build_parser()
+    parser, _ = build_parser()
     try:
-        _apply_config_file(argv, parser, leaves)
-        args = parser.parse_args(argv)
+        try:
+            args = parser.parse_args(argv)
+        except (UnicodeDecodeError, RecursionError) as exc:  # an @file argparse cannot expand
+            parser.error(f"cannot read an @file (not text, or it names itself): {exc}")
         for name, wanted, ok in FLAG_RANGES:
             if hasattr(args, name) and not ok(getattr(args, name)):
                 flag = "--" + name.replace("_", "-")

@@ -30,6 +30,7 @@ from .errors import (
     SamplingError,
     UnknownItem,
 )
+from .scales import RULER_SCALE, VERSE_SCALE, ScoreScale
 
 log = logging.getLogger(__name__)
 
@@ -204,9 +205,18 @@ def _require(record: dict, key: str, where: str) -> Any:
 
 def _identifier(record: dict, key: str, where: str) -> str:
     """The record's `key` field, checked to be a nonempty string."""
-    value = _require(record, key, where)
-    if not isinstance(value, str) or not value:
-        raise CorpusFormatError(f"{where}: {key} must be a nonempty string")
+    value = record.get(key)
+    if isinstance(value, str) and value:
+        return value
+    _require(record, key, where)
+    raise CorpusFormatError(f"{where}: {key} must be a nonempty string")
+
+
+def _score(value: Any, scale: ScoreScale, where: str, what: str = "score") -> int:
+    """`value`, checked to be an integer on `scale`."""
+    if not isinstance(value, int) or isinstance(value, bool) or not scale.contains(value):
+        raise CorpusFormatError(
+            f"{where}: {what} must be an integer in {scale.min}..{scale.max}, got {value!r}")
     return value
 
 
@@ -364,19 +374,19 @@ def load_annotations(path: Path | str, corpus: Corpus) -> dict[str, dict[str, di
     scores: dict[str, dict[str, dict[str, int]]] = {}
     for lineno, record in read_jsonl(path):
         where = f"{path}:{lineno}"
-        rater_id = str(_require(record, "rater_id", where))
+        rater_id = _identifier(record, "rater_id", where)
         channel = _require(record, "channel", where)
         if channel not in CHANNELS:
             raise CorpusFormatError(f"{where}: unknown channel {channel!r}")
         score = _require(record, "score", where)
         if not isinstance(score, int) or isinstance(score, bool):
             raise CorpusFormatError(f"{where}: score must be an integer")
-        lo, hi = (1, 3) if channel == VERSE_CHANNEL else (1, 5)
-        if not lo <= score <= hi:
-            raise OutOfRange(score, lo, hi)
-        system_id = str(_require(record, "system_id", where))
+        scale = VERSE_SCALE if channel == VERSE_CHANNEL else RULER_SCALE
+        if not scale.min <= score <= scale.max:
+            raise OutOfRange(score, scale.min, scale.max)
+        system_id = _identifier(record, "system_id", where)
         if channel == VERSE_CHANNEL:
-            item_id = f"{_require(record, 'question_id', where)}::{system_id}"
+            item_id = f"{_identifier(record, 'question_id', where)}::{system_id}"
         else:
             story_id, index = _item_key(record, where)
             if not corpus.has_pair(story_id, index):

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .corpus import (CandidateSet, Corpus, ParagraphPair, _identifier, _item_key, _require,
-                     read_json, read_jsonl)
+                     _score, read_json, read_jsonl)
 from .errors import (
     CorpusFormatError,
     EmptyCandidate,
@@ -27,6 +27,7 @@ from .errors import (
     Unparsable,
 )
 from .judge import Judge, JudgeRequest
+from .scales import RULER_SCALE
 
 K_SHOT_CHOICES = (0, 5, 10, 15, 20)
 
@@ -148,9 +149,7 @@ def load_example_bank(path: Path | str) -> list[ScoredExample]:
             criterion = Criterion(record["criterion"])
         except (KeyError, ValueError):
             raise CorpusFormatError(f"{where}: bad or missing criterion") from None
-        score = record.get("score")
-        if not isinstance(score, int) or isinstance(score, bool) or not 1 <= score <= 5:
-            raise CorpusFormatError(f"{where}: score must be an integer in 1..5")
+        score = _score(record.get("score"), RULER_SCALE, where)
         bank.append(
             ScoredExample(
                 story_id=_identifier(record, "story_id", where),
@@ -276,7 +275,7 @@ def parse_likert_score(response_text: str) -> int:
     The instructed format puts the score on the final line for both the
     score-only and the reason-then-score prompt, so both parse alike.
     """
-    return parse_score(response_text, 1, 5)
+    return parse_score(response_text, RULER_SCALE.min, RULER_SCALE.max)
 
 
 @dataclass
@@ -395,12 +394,12 @@ def scorecard_from_record(record: dict, where: str = "scorecard") -> RubricScore
     story_id, index = _item_key(record, where)
     scores = _require(record, "scores", where)
     names = sorted(c.value for c in CRITERIA)
-    if not isinstance(scores, dict) or sorted(scores) != names or not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in scores.values()):
-        raise CorpusFormatError(f"{where}: scores must map each of {names} to an integer")
+    if not isinstance(scores, dict) or sorted(scores) != names:
+        raise CorpusFormatError(f"{where}: scores must map each of {names} to a score")
     return RubricScorecard(
         system_id=_identifier(record, "system_id", where),
         story_id=story_id,
         index=index,
-        scores={Criterion(k): v for k, v in scores.items()},
+        scores={Criterion(k): _score(v, RULER_SCALE, where, f"scores.{k}")
+                for k, v in scores.items()},
     )

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
-from .corpus import ParagraphPair, _identifier, _item_key, _require
+from .corpus import ParagraphPair, _identifier, _item_key, _require, _score
 from .errors import (
     CorpusFormatError,
     EmptyCandidate,
@@ -297,11 +297,8 @@ def grade_to_record(grade: VerseGrade, options_fp: str, model_id: str) -> dict:
 
 
 def grade_from_record(record: dict, where: str = "grade") -> VerseGrade:
-    score = _require(record, "score", where)
-    if not isinstance(score, int) or isinstance(score, bool):
-        raise CorpusFormatError(f"{where}: score must be an integer")
     return VerseGrade(
         question_id=_identifier(record, "question_id", where),
         system_id=_identifier(record, "system_id", where),
-        score=score,
+        score=_score(_require(record, "score", where), VERSE_SCALE, where),
     )

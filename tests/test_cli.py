@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import sys
 import tempfile
 import threading
 from collections import Counter
@@ -338,37 +339,86 @@ def test_translate_cli_produces_loadable_candidates(tmp_path):
     assert cands.provenance["model_id"] == "mock-judge"
 
 
+def _flags_file(path: Path, *args: str) -> str:
+    """`path` holding `args` one per line, as the "@path" argument that stands for them."""
+    path.write_text("".join(f"{a}\n" for a in args), encoding="utf-8")
+    return f"@{path}"
+
+
 def test_config_file_defaults_and_flag_override(tmp_path, capsys):
-    config = {
-        "corpus": str(FIXTURES / "corpus.jsonl"),
-        "stories": str(FIXTURES / "stories.jsonl"),
-        "candidates": [str(FIXTURES / "candidates_alpha.jsonl")],
-        "out": str(tmp_path / "out"),
-    }
-    config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps(config), encoding="utf-8")
-    assert main(["validate", "--config", str(config_path)]) == 0
+    """Flags read from an @file; a flag after it overrides the file's value."""
+    flags = _flags_file(
+        tmp_path / "run.args",
+        "--corpus", str(FIXTURES / "corpus.jsonl"),
+        "--stories", str(FIXTURES / "stories.jsonl"),
+        "--candidates", str(FIXTURES / "candidates_alpha.jsonl"),
+        "--out", str(tmp_path / "out"),
+    )
+    assert main(["validate", flags]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["candidates"] == {"alpha": 1.0}
-    # flag overrides the config-file value
-    assert main([
-        "validate", "--config", str(config_path),
-        "--candidates", str(FIXTURES / "candidates_beta.jsonl"),
-    ]) == 0
+    assert main(["validate", flags, "--candidates", str(FIXTURES / "candidates_beta.jsonl")]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["candidates"] == {"beta": 1.0}
 
 
 def test_config_file_defaults_do_not_outlive_their_run(tmp_path):
-    config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps({"model": "configured-judge"}), encoding="utf-8")
-    assert main(["ruler", "--config", str(config_path)] + common_flags(tmp_path, "first")) == 0
+    flags = _flags_file(tmp_path / "run.args", "--model", "configured-judge")
+    assert main(["ruler", flags] + common_flags(tmp_path, "first")) == 0
     assert main(["ruler"] + common_flags(tmp_path, "second")) == 0
     models = {}
     for run_id in ("first", "second"):
         meta, records = read_artifact(tmp_path / "out" / run_id / "scorecards.jsonl")
         models[run_id] = {meta["model_id"]} | {r["model_id"] for r in records}
     assert models == {"first": {"configured-judge"}, "second": {"mock-judge"}}
+
+
+def test_flags_file_parses_like_the_command_line(tmp_path):
+    """Equal namespaces, so equal fingerprints and run directories."""
+    typed = ["ruler"] + common_flags(tmp_path) + ["--temperature", "0", "--cot", "--k-shot", "5"]
+    parser, _ = build_parser()
+    from_file = parser.parse_args([typed[0], _flags_file(tmp_path / "run.args", *typed[1:])])
+    assert from_file == parser.parse_args(typed)
+
+
+@pytest.mark.parametrize("flags", [
+    pytest.param(["--k-shot", "3"], id="k-shot-not-a-choice"),
+    pytest.param(["--backend", "foo"], id="backend-not-a-choice"),
+    pytest.param(["--cot", "no"], id="switch-with-a-value"),
+    pytest.param(["--jobs", "true"], id="jobs-not-an-integer"),
+])
+def test_bad_flag_in_a_flags_file_is_a_usage_error(tmp_path, capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["ruler", _flags_file(tmp_path / "run.args", *flags)] + common_flags(tmp_path))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and flags[-1] in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("content, message", [
+    pytest.param(None, "{path}", id="missing"),
+    pytest.param(b"@{path}\n", "cannot read an @file", id="names-itself"),
+    pytest.param(b"--model\ncaf\xe9\n", "cannot read an @file", id="not-utf8", marks=pytest.mark.skipif(
+        sys.version_info >= (3, 12), reason="argparse decodes @files strictly up to 3.11")),
+])
+def test_unreadable_flags_file_is_a_usage_error(tmp_path, capsys, content, message):
+    path = tmp_path / "missing.args"
+    if content is not None:
+        path = tmp_path / "run.args"
+        path.write_bytes(content.replace(b"{path}", str(path).encode()))
+    with pytest.raises(SystemExit) as exc:
+        main(["ruler", f"@{path}"] + common_flags(tmp_path))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and message.format(path=path) in err
+
+
+def test_required_flag_from_a_flags_file(tmp_path, capsys):
+    corpus = write_synthetic_corpus(tmp_path / "c.jsonl", 2, 3)
+    flags = _flags_file(tmp_path / "sample.args", "--n-per-story", "2")
+    assert main(["sample", flags, "--corpus", str(corpus), "--out", str(tmp_path / "out")]) == 0
+    assert json.loads(capsys.readouterr().out) == {"items": 4, "questions": 0}
 
 
 @pytest.mark.parametrize("command, flag, value, low", [
@@ -429,7 +479,6 @@ def _rubric_with_level_named_one() -> str:
 
 
 @pytest.mark.parametrize("stage, flag, content", [
-    pytest.param(["validate"], "--config", '{"jobs": ', id="config-invalid-json"),
     pytest.param(["ruler"], "--manifest", '{"seed": ', id="manifest-invalid-json"),
     pytest.param(["ruler"], "--script", '{"rules": [', id="script-invalid-json"),
     pytest.param(["ruler"], "--rubric", '{"criteria": ', id="rubric-invalid-json"),
@@ -492,6 +541,29 @@ def _rubric_with_level_named_one() -> str:
                  [json.dumps({"question_id": "q1", "system_id": "s", "score": 2}),
                   json.dumps({"question_id": 2, "system_id": "s", "score": 3})]),
                  id="grade-question-id-not-a-string-on-line-2"),
+    pytest.param(["report"], "--scorecards",
+                 json.dumps({"system_id": "alpha", "story_id": "st-arbor", "index": 0, "scores": {
+                     "honorifics": 5, "lexical": 6, "syntax": 3, "content": 2}}),
+                 id="scorecard-score-above-the-scale"),
+    pytest.param(["report"], "--grades", "\n".join(
+                 [json.dumps({"question_id": "q1", "system_id": "s", "score": 2}),
+                  json.dumps({"question_id": "q2", "system_id": "s", "score": 7})]),
+                 id="grade-score-above-the-scale-on-line-2"),
+    pytest.param(["report"], "--grades",
+                 json.dumps({"question_id": "q1", "system_id": "s", "score": 0}),
+                 id="grade-score-below-the-scale"),
+    pytest.param(["validate"], "--annotations",
+                 json.dumps({"rater_id": 3, "channel": "syntax", "story_id": "st-arbor",
+                             "index": 0, "system_id": "alpha", "score": 3}),
+                 id="annotation-rater-id-not-a-string"),
+    pytest.param(["validate"], "--annotations",
+                 json.dumps({"rater_id": "r1", "channel": "syntax", "story_id": "st-arbor",
+                             "index": 0, "system_id": 7, "score": 3}),
+                 id="annotation-system-id-not-a-string"),
+    pytest.param(["validate"], "--annotations",
+                 json.dumps({"rater_id": "r1", "channel": "verse", "story_id": "st-arbor",
+                             "index": 0, "system_id": "alpha", "question_id": "", "score": 3}),
+                 id="annotation-question-id-empty"),
 ])
 def test_malformed_input_file_is_a_format_error(tmp_path, capsys, stage, flag, content):
     """A malformed JSON input ends in exit 1 and a payload naming the file; a
@@ -602,21 +674,20 @@ def test_torn_stage_summary_is_a_format_error(tmp_path, capsys):
 
 
 def test_jobs_below_one_in_config_rejected(tmp_path, capsys):
-    config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps({"jobs": 0}), encoding="utf-8")
+    flags = _flags_file(tmp_path / "run.args", "--jobs", "0")
     with pytest.raises(SystemExit) as exc:
-        main(["ruler", "--config", str(config_path)] + common_flags(tmp_path))
+        main(["ruler", flags] + common_flags(tmp_path))
     assert exc.value.code == 2
     assert "--jobs must be an integer >= 1, got 0" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
 def test_config_file_unknown_key_rejected(tmp_path, capsys):
-    config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps({"corpsu": "typo"}), encoding="utf-8")
-    assert main(["validate", "--config", str(config_path)]) == 1
-    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert "corpsu" in err["message"]
+    flags = _flags_file(tmp_path / "run.args", "--corpsu", "typo")
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", flags])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --corpsu typo" in capsys.readouterr().err
 
 
 def test_run_id_defaults_to_fingerprint_prefix(tmp_path):
@@ -709,8 +780,7 @@ def test_verse_classify_asks_a_fixed_script_again(tmp_path):
 
 
 def test_fingerprint_covers_every_common_flag_that_changes_output():
-    operational = {"config", "jobs", "out", "run_id", "cache_dir", "timeout", "max_retries",
-                   "api_key_env"}
+    operational = {"jobs", "out", "run_id", "cache_dir", "timeout", "max_retries", "api_key_env"}
     parser, _ = build_parser()
     base = vars(parser.parse_args(["ruler"]))
     common = argparse.ArgumentParser(add_help=False)

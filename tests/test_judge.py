@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import os
 import socket
+import statistics
 import subprocess
 import sys
 import threading
@@ -329,7 +330,10 @@ class _StubHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
-        self.wfile.write(data)
+        try:
+            self.wfile.write(data)
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # a client that refuses a redirect may hang up before the body
 
     do_GET = do_POST
 
@@ -557,11 +561,14 @@ def test_connection_closed_while_idle_is_replaced_without_a_retry(tmp_path, keep
 @pytest.mark.skipif(not hasattr(socket, "TCP_QUICKACK"), reason="needs TCP_QUICKACK")
 def test_answers_in_two_sends_wait_for_no_delayed_ack(tmp_path, keepalive):
     judge = _keepalive_judge(tmp_path, keepalive)
-    start = time.perf_counter()
+    seconds = []
     for i in range(20):
+        start = time.perf_counter()
         assert judge.complete(JudgeRequest("s", f"prompt {i}")).text == "Score: 4"
-    # a delayed ACK costs about 40 ms per call on a reused connection
-    assert time.perf_counter() - start < 20 * 0.040 / 2
+        seconds.append(time.perf_counter() - start)
+    # a delayed ACK adds about 40 ms to every call on a reused connection; a stall of a
+    # loaded host, to a few calls, which the median leaves out
+    assert statistics.median(seconds) < 0.020
     assert keepalive.connections == 1
 
 
