@@ -726,6 +726,13 @@ def main(argv: Sequence[str] | None = None) -> int:
             args = parser.parse_args(argv)
         except (UnicodeDecodeError, RecursionError) as exc:  # an @file argparse cannot expand
             parser.error(f"cannot read an @file (not text, or it names itself): {exc}")
+        # Python hands over argument bytes that are not UTF-8 as lone surrogates,
+        # which no fingerprint or artifact can hold
+        for name, value in vars(args).items():
+            try:
+                json.dumps(value, ensure_ascii=False).encode("utf-8")
+            except UnicodeEncodeError:
+                parser.error(f"--{name.replace('_', '-')} is not UTF-8: {value!r}")
         for name, wanted, ok in FLAG_RANGES:
             if hasattr(args, name) and not ok(getattr(args, name)):
                 flag = "--" + name.replace("_", "-")

@@ -137,6 +137,9 @@ class CandidateSet:
 
 # -- line-delimited record helpers --
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def read_jsonl(path: Path | str) -> Iterator[tuple[int, dict]]:
     """Yield (line_number, record) pairs, skipping blank lines."""
     with Path(path).open("rb") as f:
@@ -147,10 +150,18 @@ def read_jsonl(path: Path | str) -> Iterator[tuple[int, dict]]:
                 raise CorpusFormatError(f"{path}:{lineno}: not UTF-8 ({exc.reason})") from None
             if not s:
                 continue
+            # a stripped line is one JSON value exactly when raw_decode ends at
+            # its end; on any fault json.loads gives the message
             try:
-                record = json.loads(s)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
+                record, end = _raw_decode(s)
+                if end != len(s):
+                    raise ValueError
+            except ValueError:
+                try:
+                    record = json.loads(s)
+                except json.JSONDecodeError as exc:
+                    raise CorpusFormatError(
+                        f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
             if not isinstance(record, dict):
                 raise CorpusFormatError(f"{path}:{lineno}: record must be a JSON object")
             yield lineno, record
@@ -367,36 +378,62 @@ def save_candidates(cands: CandidateSet, path: Path | str) -> None:
     write_jsonl(path, records)
 
 
+def _annotation(record: dict, corpus: Corpus, where: str) -> tuple[str, str, str, int]:
+    """The record's checked (channel, rater_id, item_id, score)."""
+    rater_id = _identifier(record, "rater_id", where)
+    channel = _require(record, "channel", where)
+    if channel not in CHANNELS:
+        raise CorpusFormatError(f"{where}: unknown channel {channel!r}")
+    score = _require(record, "score", where)
+    if not isinstance(score, int) or isinstance(score, bool):
+        raise CorpusFormatError(f"{where}: score must be an integer")
+    scale = VERSE_SCALE if channel == VERSE_CHANNEL else RULER_SCALE
+    if not scale.min <= score <= scale.max:
+        raise OutOfRange(score, scale.min, scale.max)
+    system_id = _identifier(record, "system_id", where)
+    if channel == VERSE_CHANNEL:
+        item_id = f"{_identifier(record, 'question_id', where)}::{system_id}"
+    else:
+        story_id, index = _item_key(record, where)
+        if not corpus.has_pair(story_id, index):
+            raise DanglingAnnotation(
+                f"{where}: annotation for unknown paragraph ({story_id!r}, {index})"
+            )
+        item_id = f"{story_id}::{index}::{system_id}"
+    return channel, rater_id, item_id, score
+
+
 def load_annotations(path: Path | str, corpus: Corpus) -> dict[str, dict[str, dict[str, int]]]:
     """Scores by channel, rater and item id, rejecting dangling, duplicate or
     out-of-range entries.  The item id aligns raters for agreement statistics:
     `question_id::system_id` for VERSE, `story_id::index::system_id` otherwise."""
     scores: dict[str, dict[str, dict[str, int]]] = {}
     for lineno, record in read_jsonl(path):
-        where = f"{path}:{lineno}"
-        rater_id = _identifier(record, "rater_id", where)
-        channel = _require(record, "channel", where)
-        if channel not in CHANNELS:
-            raise CorpusFormatError(f"{where}: unknown channel {channel!r}")
-        score = _require(record, "score", where)
-        if not isinstance(score, int) or isinstance(score, bool):
-            raise CorpusFormatError(f"{where}: score must be an integer")
+        # a good record passes these inline tests; any other goes through
+        # `_annotation`, which raises the error that names its line
+        get = record.get
+        rater_id, channel, score, system_id = (
+            get("rater_id"), get("channel"), get("score"), get("system_id"))
         scale = VERSE_SCALE if channel == VERSE_CHANNEL else RULER_SCALE
-        if not scale.min <= score <= scale.max:
-            raise OutOfRange(score, scale.min, scale.max)
-        system_id = _identifier(record, "system_id", where)
-        if channel == VERSE_CHANNEL:
-            item_id = f"{_identifier(record, 'question_id', where)}::{system_id}"
-        else:
-            story_id, index = _item_key(record, where)
-            if not corpus.has_pair(story_id, index):
-                raise DanglingAnnotation(
-                    f"{where}: annotation for unknown paragraph ({story_id!r}, {index})"
-                )
-            item_id = f"{story_id}::{index}::{system_id}"
+        item_id = None
+        if (type(rater_id) is str and rater_id and type(system_id) is str and system_id
+                and channel in CHANNELS and type(score) is int
+                and scale.min <= score <= scale.max):
+            if channel == VERSE_CHANNEL:
+                question_id = get("question_id")
+                if type(question_id) is str and question_id:
+                    item_id = f"{question_id}::{system_id}"
+            else:
+                story_id, index = get("story_id"), get("index")
+                if (type(story_id) is str and story_id and type(index) is int and index >= 0
+                        and corpus.has_pair(story_id, index)):
+                    item_id = f"{story_id}::{index}::{system_id}"
+        if item_id is None:
+            channel, rater_id, item_id, score = _annotation(record, corpus, f"{path}:{lineno}")
         rated = scores.setdefault(channel, {}).setdefault(rater_id, {})
         if item_id in rated:
-            raise DuplicateItem(f"{where}: duplicate annotation for {(rater_id, channel, item_id)}")
+            raise DuplicateItem(
+                f"{path}:{lineno}: duplicate annotation for {(rater_id, channel, item_id)}")
         rated[item_id] = score
     return scores
 

@@ -12,6 +12,7 @@ import hashlib
 import json
 import logging
 import os
+import random
 import re
 import threading
 import time
@@ -441,15 +442,16 @@ class Judge:
 
     def _live_complete(self, system_text: str, user_text: str, temperature: float | None) -> str:
         """Retries connection errors, timeouts, 429 and 5xx; fails at once on
-        anything else.  The backoff is `2 ** attempt` seconds, or the answer's
-        Retry-After up to RETRY_AFTER_MAX_S; backoff sleeps hold no concurrency slot."""
+        anything else.  The backoff is full jitter, a uniform draw from
+        [0, 2 ** attempt) seconds (Brooker 2015), or the answer's Retry-After up
+        to RETRY_AFTER_MAX_S; backoff sleeps hold no concurrency slot."""
         messages = [{"role": "system", "content": system_text}, {"role": "user", "content": user_text}]
         payload: dict[str, Any] = {"model": self.config.model_id, "messages": messages}
         if temperature is not None:
             payload["temperature"] = temperature
         attempts = self.config.max_retries + 1
         for attempt in range(attempts):
-            delay = 2.0 ** attempt
+            delay = None
             try:
                 with self._sem:
                     return self._post(payload)
@@ -464,7 +466,9 @@ class Judge:
             except Exception as exc:
                 raise TransportExhausted(f"not retried: {exc!r}") from exc
             if attempt < attempts - 1:
-                log.warning("judge attempt %d/%d failed (%r), retrying in %.0fs",
+                if delay is None:
+                    delay = random.uniform(0, 2 ** attempt)
+                log.warning("judge attempt %d/%d failed (%r), retrying in %.1fs",
                             attempt + 1, attempts, last_error, delay)
                 self._sleep(delay)
         raise TransportExhausted(f"gave up after {attempts} attempts: {last_error!r}")

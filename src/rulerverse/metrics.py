@@ -1,12 +1,15 @@
 """Agreement and classification statistics, implemented from first principles.
 
-Everything here is a pure function over immutable inputs.  Undefined results
-(constant vectors, zero expected disagreement) are returned as None, never as
-a sentinel number; aggregation layers skip them and report the skip count.
+Everything here is a pure function over immutable inputs.  The paired
+statistics work from count tables, not from the items one by one.  Undefined
+results (constant vectors, zero expected disagreement) are returned as None,
+never as a sentinel number; aggregation layers skip them and report the skip
+count.
 """
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations, product
 from typing import Callable, Iterable, Iterator, Sequence
@@ -47,57 +50,49 @@ class RatingVector:
 
     def common_items(self, other: "RatingVector") -> tuple[list[Number], list[Number]]:
         """Scores of both raters over the sorted intersection of rated items."""
-        mine = {i: s for i, s in zip(self.ids, self.scores) if s is not None}
         theirs = {i: s for i, s in zip(other.ids, other.scores) if s is not None}
-        shared = sorted(set(mine) & set(theirs))
+        mine = {i: s for i, s in zip(self.ids, self.scores) if s is not None and i in theirs}
+        # `mine` keeps the order of `self.ids`: when that is sorted, as `agree`
+        # builds it, the sort is one linear pass
+        shared = sorted(mine)
         return [mine[i] for i in shared], [theirs[i] for i in shared]
 
 
-def _paired(x, y, min_len: int) -> tuple[list[Number], list[Number]]:
-    """Two score sequences as lists, checked to pair up item for item."""
+# -- paired statistics from count tables --
+#
+# Scores lie on small scales, so the items of a rater pair fall into a few
+# (x, y) cells.  tau-b, rho, MSE and the confusion table depend only on the
+# cell counts, so each is computed from Counter(zip(xs, ys)) and its
+# marginals.  Continuous data gives one cell per item and costs O(n log n).
+
+def _cells(xs: Iterable, ys: Iterable) -> tuple[Counter, Counter, Counter]:
+    """Joint counts of (x, y) and the marginal counts of x and of y."""
+    cells = Counter(zip(xs, ys))
+    by_x: Counter = Counter()
+    by_y: Counter = Counter()
+    for (a, b), w in cells.items():
+        by_x[a] += w
+        by_y[b] += w
+    return cells, by_x, by_y
+
+
+def _paired(x, y, min_len: int) -> tuple[int, Counter, Counter, Counter]:
+    """Item count plus the joint and marginal counts of two score sequences,
+    checked to pair up item for item."""
     xs, ys = list(x), list(y)
     if len(xs) != len(ys):
         raise LengthMismatch(f"{len(xs)} vs {len(ys)} items")
     if len(xs) < min_len:
         raise TooFewItems(f"need at least {min_len} items, got {len(xs)}")
-    if any(v is None for v in xs) or any(v is None for v in ys):
+    cells, by_x, by_y = _cells(xs, ys)
+    if None in by_x or None in by_y:
         raise MissingValue("paired metrics do not accept missing scores")
-    return xs, ys
+    return len(xs), cells, by_x, by_y
 
 
-# -- rank correlation --
-
-def _tie_pairs(values: Iterable) -> int:
-    """Number of unordered index pairs sharing a value: sum of t*(t-1)/2 per group."""
-    counts: dict[Number, int] = {}
-    for v in values:
-        counts[v] = counts.get(v, 0) + 1
+def _tie_pairs(counts: Counter) -> int:
+    """Number of unordered item pairs sharing a key: sum of t*(t-1)/2 per key."""
     return sum(t * (t - 1) // 2 for t in counts.values())
-
-
-def _discordant_pairs(xs: Sequence[Number], ys: Sequence[Number]) -> int:
-    """Index pairs ordered one way by x and the other way by y (Knight 1966).
-
-    After sorting by (x, y), tied x values sit in y order, so a pair is
-    discordant exactly when the later item has the smaller y.  A Fenwick tree
-    over y ranks counts, for each item, the earlier items with a larger y.
-    """
-    rank = {v: r for r, v in enumerate(sorted(set(ys)), start=1)}
-    size = len(rank)
-    tree = [0] * (size + 1)
-    discordant = 0
-    for seen, (_, y) in enumerate(sorted(zip(xs, ys))):
-        r = i = rank[y]
-        not_above = 0  # earlier items with a y rank <= r
-        while i:
-            not_above += tree[i]
-            i -= i & -i
-        discordant += seen - not_above
-        i = r
-        while i <= size:
-            tree[i] += 1
-            i += i & -i
-    return discordant
 
 
 def kendall_tau_b(x, y) -> float | None:
@@ -105,63 +100,81 @@ def kendall_tau_b(x, y) -> float | None:
 
     tau_b = (C - D) / sqrt((n0 - n1) * (n0 - n2))
 
-    where C and D count concordant and discordant index pairs, n0 = n(n-1)/2,
-    and n1, n2 count pairs tied within x and within y.  D comes from an
-    O(n log n) count and C from C + D = n0 - n1 - n2 + n3, with n3 the pairs
-    tied in both; every count is an exact integer.  Returns None when either
-    vector is constant enough to zero a denominator factor.
+    where C and D count concordant and discordant item pairs, n0 = n(n-1)/2,
+    and n1, n2 count pairs tied within x and within y; the tie counts come
+    from the marginal counts.  D comes from Knight's (1966) pass over the
+    cells sorted by (x, y): tied x values sit in y order, so a pair is
+    discordant exactly when the later item has the smaller y, and a Fenwick
+    tree over y ranks counts, for each cell, the earlier items with a larger
+    y, weighted by cell count.  C follows from C + D = n0 - n1 - n2 + n3, with
+    n3 the pairs tied in both.  Every count is an exact integer.  Returns None
+    when either vector is constant enough to zero a denominator factor.
     """
-    xs, ys = _paired(x, y, min_len=2)
-    n = len(xs)
+    n, cells, by_x, by_y = _paired(x, y, min_len=2)
     n0 = n * (n - 1) // 2
-    denom_x = n0 - _tie_pairs(xs)
-    denom_y = n0 - _tie_pairs(ys)
+    denom_x = n0 - _tie_pairs(by_x)
+    denom_y = n0 - _tie_pairs(by_y)
     if denom_x == 0 or denom_y == 0:
         return None
-    discordant = _discordant_pairs(xs, ys)
-    concordant = denom_x + denom_y - n0 + _tie_pairs(zip(xs, ys)) - discordant
+    rank = {v: r for r, v in enumerate(sorted(by_y), start=1)}
+    size = len(rank)
+    tree = [0] * (size + 1)
+    discordant = seen = 0
+    for (_, b), w in sorted(cells.items()):
+        r = i = rank[b]
+        not_above = 0  # earlier items with a y rank <= r
+        while i:
+            not_above += tree[i]
+            i -= i & -i
+        discordant += w * (seen - not_above)
+        seen += w
+        i = r
+        while i <= size:
+            tree[i] += w
+            i += i & -i
+    concordant = denom_x + denom_y - n0 + _tie_pairs(cells) - discordant
     return (concordant - discordant) / math.sqrt(denom_x * denom_y)
 
 
-def average_ranks(values: Sequence[Number]) -> list[float]:
-    """1-based ranks; tied values share the mean of their rank positions."""
-    n = len(values)
-    order = sorted(range(n), key=lambda i: values[i])
-    ranks = [0.0] * n
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        mean_rank = (i + j) / 2.0 + 1.0
-        for k in range(i, j + 1):
-            ranks[order[k]] = mean_rank
-        i = j + 1
+def _average_ranks(counts: Counter) -> dict:
+    """1-based rank of each distinct value; tied items share the mean of their
+    rank positions.  Every rank is a half-integer."""
+    ranks = {}
+    first = 0  # 0-based position of the value's first item
+    for v in sorted(counts):
+        last = first + counts[v] - 1
+        ranks[v] = (first + last) / 2.0 + 1.0
+        first = last + 1
     return ranks
 
 
-def _pearson(xs: Sequence[float], ys: Sequence[float]) -> float | None:
-    n = len(xs)
-    mean_x = sum(xs) / n
-    mean_y = sum(ys) / n
-    cov = sum((a - mean_x) * (b - mean_y) for a, b in zip(xs, ys))
-    var_x = sum((a - mean_x) ** 2 for a in xs)
-    var_y = sum((b - mean_y) ** 2 for b in ys)
+def spearman_rho(x, y) -> float | None:
+    """Pearson correlation of average ranks; None for a constant input.
+
+    The Pearson sums run over the cells, weighted by count.  Ranks are
+    half-integers, so every term is an exact quarter-integer and, for n up to
+    about 10**5, every partial sum is exact: the result does not depend on the
+    order of the terms.
+    """
+    n, cells, by_x, by_y = _paired(x, y, min_len=2)
+    rank_x, rank_y = _average_ranks(by_x), _average_ranks(by_y)
+    mean_x = sum(w * rank_x[a] for a, w in by_x.items()) / n
+    mean_y = sum(w * rank_y[b] for b, w in by_y.items()) / n
+    dev_x = {a: r - mean_x for a, r in rank_x.items()}
+    dev_y = {b: r - mean_y for b, r in rank_y.items()}
+    var_x = sum(w * dev_x[a] ** 2 for a, w in by_x.items())
+    var_y = sum(w * dev_y[b] ** 2 for b, w in by_y.items())
     if var_x == 0.0 or var_y == 0.0:
         return None
+    cov = sum(w * dev_x[a] * dev_y[b] for (a, b), w in cells.items())
     return cov / math.sqrt(var_x * var_y)
 
 
-def spearman_rho(x, y) -> float | None:
-    """Pearson correlation of average ranks; None for a constant input."""
-    xs, ys = _paired(x, y, min_len=2)
-    return _pearson(average_ranks(xs), average_ranks(ys))
-
-
 def mse(x, y) -> float:
-    """Mean of squared score differences."""
-    xs, ys = _paired(x, y, min_len=1)
-    return sum((a - b) ** 2 for a, b in zip(xs, ys)) / len(xs)
+    """Mean of squared score differences, summed over the cells by count;
+    for integer scores the sum is an exact integer."""
+    n, cells, _, _ = _paired(x, y, min_len=1)
+    return sum(w * (a - b) ** 2 for (a, b), w in cells.items()) / n
 
 
 # -- Krippendorff's alpha --
@@ -280,6 +293,7 @@ class ClassificationReport:
 def per_label_prf(gold: Sequence, pred: Sequence, label_set: Sequence) -> ClassificationReport:
     """Per-label precision/recall/F1 with support, accuracy, and confusion counts.
 
+    The confusion table is read from the (gold, pred) count table.
     Zero-denominator cases score 0.0 and are flagged via zero_division rather
     than erroring, matching the usual convention for absent labels.
     """
@@ -289,16 +303,15 @@ def per_label_prf(gold: Sequence, pred: Sequence, label_set: Sequence) -> Classi
         raise EmptyInput("no items to score")
     labels = tuple(label_set)
     known = set(labels)
-    for value in gold:
+    cells, by_gold, by_pred = _cells(gold, pred)
+    for value in by_gold:
         if value not in known:
             raise LabelError(f"gold label {value!r} outside label set")
-    for value in pred:
+    for value in by_pred:
         if value not in known:
             raise LabelError(f"predicted label {value!r} outside label set")
 
-    confusion = {g: {p: 0 for p in labels} for g in labels}
-    for g, p in zip(gold, pred):
-        confusion[g][p] += 1
+    confusion = {g: {p: cells[g, p] for p in labels} for g in labels}
 
     per_label: dict = {}
     for label in labels:

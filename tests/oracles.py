@@ -3,7 +3,9 @@
 These deliberately take different computational routes than the library:
 sign-product accumulation for tau, count-based ranks plus the raw-sum Pearson
 formula for rho, and a permutations-built coincidence matrix for alpha.  They
-are slow and only suitable for small inputs.
+are slow and only suitable for small inputs.  The item-by-item formulas for
+rho and MSE that the library used before it computed from count tables are
+kept here too, as the reference its results must equal bit for bit.
 """
 from __future__ import annotations
 
@@ -143,3 +145,39 @@ def alpha_unit_pair_oracle(ratings, level="nominal"):
     if expected == 0.0:
         return None
     return 1.0 - observed / expected
+
+
+def average_ranks_sequential(values):
+    """1-based ranks; tied values share the mean of their rank positions."""
+    n = len(values)
+    order = sorted(range(n), key=lambda i: values[i])
+    ranks = [0.0] * n
+    i = 0
+    while i < n:
+        j = i
+        while j + 1 < n and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        mean_rank = (i + j) / 2.0 + 1.0
+        for k in range(i, j + 1):
+            ranks[order[k]] = mean_rank
+        i = j + 1
+    return ranks
+
+
+def rho_sequential(x, y):
+    """Spearman rho as the Pearson correlation of average ranks, summed item by item."""
+    xs, ys = average_ranks_sequential(x), average_ranks_sequential(y)
+    n = len(xs)
+    mean_x = sum(xs) / n
+    mean_y = sum(ys) / n
+    cov = sum((a - mean_x) * (b - mean_y) for a, b in zip(xs, ys))
+    var_x = sum((a - mean_x) ** 2 for a in xs)
+    var_y = sum((b - mean_y) ** 2 for b in ys)
+    if var_x == 0.0 or var_y == 0.0:
+        return None
+    return cov / math.sqrt(var_x * var_y)
+
+
+def mse_sequential(x, y):
+    """Mean of squared differences, summed item by item."""
+    return sum((a - b) ** 2 for a, b in zip(x, y)) / len(x)

@@ -453,6 +453,21 @@ def test_float_flag_out_of_range_rejected(tmp_path, capsys, command, flag, value
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("flag, value", [
+    pytest.param("--model", "caf\udce9", id="model"),
+    pytest.param("--out", "out-\udcff", id="out"),
+])
+def test_argument_that_is_not_utf8_is_a_usage_error(tmp_path, capsys, flag, value):
+    """Python decodes argument bytes that are not UTF-8 to lone surrogates
+    (b"caf\xe9" arrives as "caf\udce9"); they name the flag, not a traceback."""
+    with pytest.raises(SystemExit) as exc:
+        main(["validate"] + common_flags(tmp_path) + [flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and f"{flag} is not UTF-8" in err
+    assert not (tmp_path / "out").exists()
+
+
 def _error_payload(capsys) -> dict:
     err = capsys.readouterr().err
     assert "Traceback" not in err
@@ -476,6 +491,10 @@ def _rubric_with_level_named_one() -> str:
     levels = rubric["criteria"]["syntax"]["levels"]
     levels["one"] = levels.pop("1")
     return json.dumps(rubric)
+
+
+_ANNOTATION = {"rater_id": "r1", "channel": "syntax", "story_id": "st-arbor", "index": 0,
+               "system_id": "alpha", "score": 3}
 
 
 @pytest.mark.parametrize("stage, flag, content", [
@@ -564,17 +583,38 @@ def _rubric_with_level_named_one() -> str:
                  json.dumps({"rater_id": "r1", "channel": "verse", "story_id": "st-arbor",
                              "index": 0, "system_id": "alpha", "question_id": "", "score": 3}),
                  id="annotation-question-id-empty"),
+    pytest.param(["validate"], "--annotations", "\n".join(
+                 [json.dumps(_ANNOTATION),
+                  json.dumps({**_ANNOTATION, "index": 1})[:-1] + ', "tags": [1',
+                  '2]}, ' + json.dumps({**_ANNOTATION, "index": 2})]),
+                 id="annotation-lines-that-parse-only-when-joined"),
+    pytest.param(["validate"], "--annotations", "\n".join(
+                 [json.dumps(_ANNOTATION), json.dumps({**_ANNOTATION, "index": 1}) + " x"]),
+                 id="annotation-trailing-garbage-on-line-2"),
+    pytest.param(["validate"], "--annotations", "\n".join(
+                 [json.dumps(_ANNOTATION), json.dumps({**_ANNOTATION, "index": 1, "score": True})]),
+                 id="annotation-score-true-on-line-2"),
 ])
 def test_malformed_input_file_is_a_format_error(tmp_path, capsys, stage, flag, content):
     """A malformed JSON input ends in exit 1 and a payload naming the file; a
-    file of several records names the line of the bad one, its last."""
+    file of several records names the line of the bad one: the first line
+    that is not JSON by itself, else the last."""
     path = tmp_path / "input.json"
     path.write_text(content + "\n", encoding="utf-8")
     assert main(stage + common_flags(tmp_path) + [flag, str(path)]) == 1
     err = _error_payload(capsys)
     assert err["error"] == "CorpusFormatError"
-    lines = content.count("\n") + 1
-    assert (f"{path}:{lines}:" if lines > 1 else str(path)) in err["message"]
+    lines = content.split("\n")
+    bad = next((i for i, line in enumerate(lines, 1) if not _is_json(line)), len(lines))
+    assert (f"{path}:{bad}:" if len(lines) > 1 else str(path)) in err["message"]
+
+
+def _is_json(text: str) -> bool:
+    try:
+        json.loads(text)
+    except ValueError:
+        return False
+    return True
 
 
 @pytest.mark.parametrize("script, rule", [

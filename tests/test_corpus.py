@@ -302,6 +302,78 @@ def test_annotation_score_ranges(tmp_path, fixture_corpus):
         load_annotations(bad_verse, fixture_corpus)
 
 
+
+_ANNOTATION = {"rater_id": "r1", "channel": "syntax", "story_id": "st-arbor", "index": 0,
+               "system_id": "alpha", "score": 3}
+_VERSE_ANNOTATION = {"rater_id": "r1", "channel": "verse", "question_id": "q1",
+                     "system_id": "alpha", "score": 2}
+
+
+def _without(record, key):
+    return {k: v for k, v in record.items() if k != key}
+
+
+@pytest.mark.parametrize("line, error, message", [
+    pytest.param(json.dumps(_without(_ANNOTATION, "rater_id")), CorpusFormatError,
+                 "{path}:2: missing field 'rater_id'", id="missing-rater-id"),
+    pytest.param(json.dumps({**_ANNOTATION, "rater_id": ""}), CorpusFormatError,
+                 "{path}:2: rater_id must be a nonempty string", id="empty-rater-id"),
+    pytest.param(json.dumps(_without(_ANNOTATION, "channel")), CorpusFormatError,
+                 "{path}:2: missing field 'channel'", id="missing-channel"),
+    pytest.param(json.dumps({**_ANNOTATION, "channel": ["syntax"]}), CorpusFormatError,
+                 "{path}:2: unknown channel ['syntax']", id="list-channel"),
+    pytest.param(json.dumps(_without(_ANNOTATION, "score")), CorpusFormatError,
+                 "{path}:2: missing field 'score'", id="missing-score"),
+    pytest.param(json.dumps({**_ANNOTATION, "score": True}), CorpusFormatError,
+                 "{path}:2: score must be an integer", id="score-true"),
+    pytest.param(json.dumps({**_ANNOTATION, "score": 3.0}), CorpusFormatError,
+                 "{path}:2: score must be an integer", id="score-float"),
+    pytest.param(json.dumps({**_ANNOTATION, "score": 6}), OutOfRange,
+                 "score 6 outside allowed range 1..5", id="score-above-ruler"),
+    pytest.param(json.dumps({**_VERSE_ANNOTATION, "score": 4}), OutOfRange,
+                 "score 4 outside allowed range 1..3", id="score-above-verse"),
+    pytest.param(json.dumps(_without(_ANNOTATION, "system_id")), CorpusFormatError,
+                 "{path}:2: missing field 'system_id'", id="missing-system-id"),
+    pytest.param(json.dumps({**_VERSE_ANNOTATION, "question_id": 1}), CorpusFormatError,
+                 "{path}:2: question_id must be a nonempty string", id="question-id-int"),
+    pytest.param(json.dumps(_without(_ANNOTATION, "index")), CorpusFormatError,
+                 "{path}:2: missing field 'index'", id="missing-index"),
+    pytest.param(json.dumps({**_ANNOTATION, "index": True}), CorpusFormatError,
+                 "{path}:2: index must be a non-negative integer", id="index-true"),
+    pytest.param(json.dumps({**_ANNOTATION, "index": 77}), DanglingAnnotation,
+                 "{path}:2: annotation for unknown paragraph ('st-arbor', 77)", id="dangling"),
+    pytest.param(json.dumps(_ANNOTATION), DuplicateItem,
+                 "{path}:2: duplicate annotation for ('r1', 'syntax', 'st-arbor::0::alpha')",
+                 id="duplicate"),
+    pytest.param(json.dumps({**_ANNOTATION, "index": 1}) + " x", CorpusFormatError,
+                 "{path}:2: invalid JSON (Extra data)", id="trailing-garbage"),
+    pytest.param(json.dumps({**_ANNOTATION, "index": 1})[:-1] + ', "tags": [1\n2]}, '
+                 + json.dumps({**_ANNOTATION, "index": 2}), CorpusFormatError,
+                 "{path}:2: invalid JSON (Expecting ',' delimiter)", id="lines-valid-only-joined"),
+    pytest.param("[1, 2]", CorpusFormatError, "{path}:2: record must be a JSON object",
+                 id="not-an-object"),
+    pytest.param("\ufeff" + json.dumps({**_ANNOTATION, "index": 1}), CorpusFormatError,
+                 "{path}:2: invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))",
+                 id="byte-order-mark"),
+])
+def test_faulty_annotation_keeps_its_message(tmp_path, fixture_corpus, line, error, message):
+    """A good record skips the checked path; a faulty one still gets its
+    error, word for word, naming the line."""
+    path = tmp_path / "ann.jsonl"
+    path.write_text(json.dumps(_ANNOTATION) + "\n" + line + "\n", encoding="utf-8")
+    with pytest.raises(error) as exc:
+        load_annotations(path, fixture_corpus)
+    assert str(exc.value) == message.format(path=path)
+
+
+def test_blank_lines_and_crlf_endings_are_accepted(tmp_path, fixture_corpus):
+    lines = (FIXTURES / "annotations.jsonl").read_text(encoding="utf-8").splitlines()
+    path = tmp_path / "ann.jsonl"
+    path.write_bytes(("\r\n".join(lines[:3] + ["", "  \t"] + lines[3:]) + "\r\n\r\n").encode())
+    assert load_annotations(path, fixture_corpus) == load_annotations(
+        FIXTURES / "annotations.jsonl", fixture_corpus)
+
+
 # -- sampling --
 
 def _bank_question(story_id, index, k):

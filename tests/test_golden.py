@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
+import shutil
+from pathlib import Path
 
-from conftest import FIXTURES, cache_entries
+from conftest import FIXTURES, cache_entries, write_synthetic_corpus
 from rulerverse.cli import main
 from rulerverse.judge import cache_key
 from rulerverse.ruler import PromptOptions
@@ -80,3 +83,60 @@ def test_option_fingerprints():
     spec = TranslationPromptSpec(n_shots=2, include_summary=False, granularity="sentence",
                                  bank_story_ids=("b", "a"), require_dialogue_mix=False)
     assert spec.fingerprint() == "347b7b44ee2f"
+
+
+# (files, sha256 over "name sha256" lines) of an `agree` run directory; taken
+# from the code as it stood before the statistics moved to per-pair count tables
+AGREE_FIXTURES = (25, "78ed04d10cc15a6a704233e220b04735faf194618eb2c470375ea013ae639416")
+AGREE_LIKERT = (22, "820d949ac170dd87f5f5866eac5fb7f8653e6954954ae8d4dd9684e5bbdb771b")
+
+
+def _agree_run(tmp_path: Path, monkeypatch, annotations: list[dict], model: list[dict]):
+    """`agree` from tmp_path with relative paths, so the fingerprint, and with
+    it every artifact, does not depend on where the test runs."""
+    monkeypatch.chdir(tmp_path)
+    for name, rows in (("annotations.jsonl", annotations), ("model.jsonl", model)):
+        Path(name).write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    argv = ["agree", "--corpus", "corpus.jsonl", "--annotations", "annotations.jsonl",
+            "--model-annotations", "model.jsonl", "--run-id", "golden"]
+    assert main(argv) == 0
+    lines = [f"{path.name} {hashlib.sha256(path.read_bytes()).hexdigest()}"
+             for path in sorted(Path("out", "golden").iterdir())]
+    return len(lines), hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+
+
+def test_agree_artifacts_on_the_fixtures(tmp_path, monkeypatch):
+    shutil.copy(FIXTURES / "corpus.jsonl", tmp_path / "corpus.jsonl")
+    humans = [json.loads(line) for line in
+              (FIXTURES / "annotations.jsonl").read_text(encoding="utf-8").splitlines() if line]
+    model = [{"rater_id": "model-x", "channel": "honorifics", "story_id": "st-arbor",
+              "index": i, "system_id": "alpha", "score": s}
+             for i, s in enumerate([5, 4, 5, 3, 1])]
+    assert _agree_run(tmp_path, monkeypatch, humans, model) == AGREE_FIXTURES
+
+
+def _likert(rng: random.Random, truth: int, top: int, spread: int) -> int:
+    return min(top, max(1, truth + rng.randint(-spread, spread)))
+
+
+def test_agree_artifacts_on_a_seeded_likert_input(tmp_path, monkeypatch):
+    """2,000 items per rater on a RULER channel and on VERSE: three humans, two
+    models and heavy ties; the last human skips about one item in twenty."""
+    write_synthetic_corpus(tmp_path / "corpus.jsonl", 20, 25)
+    rng = random.Random(15)
+    items = [(f"story{s:02d}", i, f"sys{k}") for s in range(20) for i in range(25) for k in range(4)]
+    humans: list[dict] = []
+    model: list[dict] = []
+    for n, (story_id, index, system_id) in enumerate(items):
+        truth = rng.randint(1, 5)
+        for rater, spread in (("h1", 1), ("h2", 1), ("h3", 2), ("m1", 1), ("m2", 3)):
+            if rater == "h3" and rng.random() < 0.05:
+                continue
+            rows = model if rater.startswith("m") else humans
+            rows.append({"rater_id": rater, "channel": "syntax", "story_id": story_id,
+                         "index": index, "system_id": system_id,
+                         "score": _likert(rng, truth, 5, spread)})
+            rows.append({"rater_id": rater, "channel": "verse", "question_id": f"q{n:04d}",
+                         "system_id": system_id,
+                         "score": _likert(rng, (truth + 1) // 2, 3, spread // 2)})
+    assert _agree_run(tmp_path, monkeypatch, humans, model) == AGREE_LIKERT

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import socket
 import statistics
 import subprocess
@@ -208,7 +209,13 @@ def _live_config(tmp_path, retries=3):
     )
 
 
-def test_live_retries_with_backoff(tmp_path):
+def _jitter_at_the_bound(monkeypatch):
+    """Make each full-jitter draw its upper bound, 2 ** attempt."""
+    monkeypatch.setattr(random, "uniform", lambda low, high: float(high))
+
+
+def test_live_retries_with_backoff(tmp_path, monkeypatch):
+    _jitter_at_the_bound(monkeypatch)
     judge = _FlakyLive(_live_config(tmp_path), fail_times=2)
     got = judge.complete(JudgeRequest("s", "u"))
     assert got.text == "ok after 3"
@@ -220,6 +227,22 @@ def test_live_transport_exhausted(tmp_path):
     with pytest.raises(TransportExhausted):
         judge.complete(JudgeRequest("s", "u"))
     assert judge.attempts == 3
+
+
+def test_backoff_is_full_jitter(tmp_path, monkeypatch):
+    """Each backoff is one uniform draw from [0, 2 ** attempt); the draw is
+    slept as it is."""
+    draws = []
+
+    def uniform(low, high):
+        draws.append((low, high))
+        return high * 0.3
+
+    monkeypatch.setattr(random, "uniform", uniform)
+    judge = _FlakyLive(_live_config(tmp_path), fail_times=3)
+    assert judge.complete(JudgeRequest("s", "u")).text == "ok after 4"
+    assert draws == [(0, 1), (0, 2), (0, 4)]
+    assert judge.slept == [0.3, 0.6, 1.2]
 
 
 def test_live_payload_omits_temperature_for_backend_default(tmp_path):
@@ -412,7 +435,8 @@ def test_connection_refused_is_retried(tmp_path, stub):
         ("-5", [1.0, 2.0]),
     ],
 )
-def test_retry_after_sets_the_backoff(tmp_path, stub, retry_after, slept):
+def test_retry_after_sets_the_backoff(tmp_path, stub, monkeypatch, retry_after, slept):
+    _jitter_at_the_bound(monkeypatch)
     stub.script = [(503, "{}", {"Retry-After": retry_after}),
                    (429, "{}", {"Retry-After": retry_after}), (200, OK_BODY)]
     judge = _stub_judge(tmp_path, stub)
@@ -420,6 +444,17 @@ def test_retry_after_sets_the_backoff(tmp_path, stub, retry_after, slept):
     judge._sleep = sleeps.append
     assert judge.complete(JudgeRequest("s", "u")).text == "Score: 4"
     assert sleeps == slept
+
+
+def test_retry_after_takes_precedence_over_jitter(tmp_path, stub, monkeypatch):
+    draws = []
+    monkeypatch.setattr(random, "uniform", lambda low, high: draws.append(high) or 0.5)
+    stub.script = [(503, "{}", {"Retry-After": "7"}), (503, "{}"), (200, OK_BODY)]
+    judge = _stub_judge(tmp_path, stub)
+    sleeps = []
+    judge._sleep = sleeps.append
+    assert judge.complete(JudgeRequest("s", "u")).text == "Score: 4"
+    assert (sleeps, draws) == ([7.0, 0.5], [2])
 
 
 def test_answer_slower_than_the_timeout_is_retried(tmp_path, stub):

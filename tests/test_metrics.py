@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import alpha_coincidence_oracle, alpha_unit_pair_oracle, rho_oracle, tau_b_oracle
+from oracles import (
+    alpha_coincidence_oracle,
+    alpha_unit_pair_oracle,
+    mse_sequential,
+    rho_oracle,
+    rho_sequential,
+    tau_b_oracle,
+)
 from rulerverse.errors import (
     EmptyInput,
     InsufficientOverlap,
@@ -413,3 +420,24 @@ def test_tau_b_equals_pairwise_oracle_exactly(xy):
     # count's integers, so the closing float division is bit-identical
     x, y = xy
     assert kendall_tau_b(x, y) == tau_b_oracle(x, y)
+
+
+@st.composite
+def tied_integer_pairs(draw):
+    """Integer score vectors of up to 2,000 items drawn from pools of one to six
+    values, so ties are heavy and a one-value pool gives a constant vector."""
+    pool_x = draw(st.lists(st.integers(min_value=-3, max_value=7), min_size=1, max_size=6))
+    pool_y = draw(st.lists(st.integers(min_value=-3, max_value=7), min_size=1, max_size=6))
+    n = draw(st.integers(min_value=2, max_value=2000))
+    rng = draw(st.randoms(use_true_random=False))
+    return [rng.choice(pool_x) for _ in range(n)], [rng.choice(pool_y) for _ in range(n)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(tied_integer_pairs())
+def test_rho_and_mse_equal_the_item_by_item_sums_exactly(xy):
+    # exact equality: summing over count-table cells must reproduce the
+    # item-by-item sums bit for bit
+    x, y = xy
+    assert spearman_rho(x, y) == rho_sequential(x, y)
+    assert mse(x, y) == mse_sequential(x, y)
