@@ -99,15 +99,22 @@ class RunContext:
         return corpus_mod.load_corpus(self.args.corpus, self.args.stories)
 
     def load_candidates(self, corpus: Corpus) -> list[CandidateSet]:
-        """Every --candidates file, restricted to the --manifest items if one is given."""
-        paths = self.args.candidates or []
-        if not paths:
+        if not self.args.candidates:
             raise EvalError("--candidates is required for this subcommand")
-        candidate_sets = [corpus_mod.load_candidates(p, corpus) for p in paths]
-        manifest = self.manifest()
-        if manifest is not None:
-            candidate_sets = [c.subset(manifest.keys()) for c in candidate_sets]
-        return candidate_sets
+        return [corpus_mod.load_candidates(p, corpus) for p in self.args.candidates]
+
+    def in_manifest(self, items: list) -> list:
+        """The paragraphs or questions of `items` that --manifest lists, all of
+        them without one.  A manifest that names questions also drops every
+        other question."""
+        if not self.args.manifest:
+            return items
+        path = self.args.manifest
+        manifest = SampleManifest.from_dict(corpus_mod.read_json(path), str(path))
+        keys = set(manifest.keys())
+        qids = {qid for item in manifest.items for qid in item.question_ids}
+        return [x for x in items if (x.story_id, x.index) in keys and (
+            not qids or isinstance(x, ParagraphPair) or x.question_id in qids)]
 
     def judge(self) -> Judge:
         args = self.args
@@ -143,12 +150,6 @@ class RunContext:
             return ruler.load_rubric(self.args.rubric)
         return ruler.bundled_rubric()
 
-    def manifest(self) -> SampleManifest | None:
-        if not self.args.manifest:
-            return None
-        path = self.args.manifest
-        return SampleManifest.from_dict(corpus_mod.read_json(path), str(path))
-
     def meta(self, judge: Judge | None = None, options: PromptOptions | None = None) -> dict:
         meta: dict[str, Any] = {"fingerprint": self.fingerprint, "run_id": self.run_id}
         if judge is not None:
@@ -157,14 +158,8 @@ class RunContext:
             meta["options"] = options.fingerprint()
         return meta
 
-    def write_summary(
-        self,
-        name: str,
-        judge: Judge | None,
-        items_total: int,
-        failures: Sequence[ItemFailure],
-        extra: dict | None = None,
-    ) -> dict:
+    def write_summary(self, name: str, judge: Judge | None, items_total: int,
+                      failures: Sequence[ItemFailure], extra: dict | None = None) -> None:
         summary: dict[str, Any] = {
             "subcommand": name,
             "fingerprint": self.fingerprint,
@@ -180,7 +175,6 @@ class RunContext:
         if extra:
             summary.update(extra)
         write_json(self.out_dir / f"{name}_summary.json", summary)
-        return summary
 
 
 # -- subcommands --
@@ -207,27 +201,15 @@ def cmd_validate(ctx: RunContext) -> int:
 
 def cmd_sample(ctx: RunContext) -> int:
     corpus = ctx.load_corpus()
-    story_ids = ctx.args.sample_stories or corpus.story_ids()
     questions = None
     if ctx.args.questions:
         _, questions = read_artifact(Path(ctx.args.questions), verse.question_from_record)
-    systems = ctx.args.systems or None
     manifest = corpus_mod.sample_items(
-        corpus,
-        story_ids,
-        n_per_story=ctx.args.n_per_story,
-        q_per_item=ctx.args.q_per_item,
-        seed=ctx.args.seed,
-        questions=questions,
-        systems=systems,
-    )
-    payload = {"fingerprint": ctx.fingerprint, **asdict(manifest)}
-    write_json(ctx.out_dir / "manifest.json", payload)
-    print(
-        json.dumps(
-            {"items": manifest.n_items, "questions": manifest.n_questions}, sort_keys=True
-        )
-    )
+        corpus, ctx.args.sample_stories or corpus.story_ids(), ctx.args.n_per_story,
+        ctx.args.q_per_item, ctx.args.seed, questions, ctx.args.systems or None)
+    write_json(ctx.out_dir / "manifest.json", {"fingerprint": ctx.fingerprint, **asdict(manifest)})
+    print(json.dumps({"items": manifest.n_items, "questions": manifest.n_questions},
+                     sort_keys=True))
     return 0
 
 
@@ -265,6 +247,7 @@ def cmd_translate(ctx: RunContext) -> int:
 def cmd_ruler(ctx: RunContext) -> int:
     corpus = ctx.load_corpus()
     candidate_sets = ctx.load_candidates(corpus)
+    pairs = ctx.in_manifest(list(corpus.pairs()))
     rubric = ctx.rubric()
     options = ctx.options()
     judge = ctx.judge()
@@ -273,7 +256,7 @@ def cmd_ruler(ctx: RunContext) -> int:
         shots = ruler.load_example_bank(ctx.args.shots_bank)
 
     # every system's paragraphs in one pass: --candidates order, then corpus order
-    items = [(cands, pair) for cands in candidate_sets for pair in corpus.pairs()
+    items = [(cands, pair) for cands in candidate_sets for pair in pairs
              if (pair.story_id, pair.index) in cands.translations]
 
     def work(item: tuple[CandidateSet, ParagraphPair]):
@@ -295,18 +278,9 @@ def cmd_ruler(ctx: RunContext) -> int:
     return 0
 
 
-def _restrict_pairs(corpus: Corpus, manifest: SampleManifest | None):
-    pairs = list(corpus.pairs())
-    if manifest is None:
-        return pairs
-    wanted = set(manifest.keys())
-    return [p for p in pairs if (p.story_id, p.index) in wanted]
-
-
 def cmd_verse_gen(ctx: RunContext) -> int:
     corpus = ctx.load_corpus()
-    manifest = ctx.manifest()
-    pairs = _restrict_pairs(corpus, manifest)
+    pairs = ctx.in_manifest(list(corpus.pairs()))
     judge = ctx.judge()
 
     def work(pair):
@@ -372,11 +346,7 @@ def cmd_verse_grade(ctx: RunContext) -> int:
         raise UnclassifiedQuestion(
             f"{len(unclassified)} questions lack categories; run `verse classify` first"
         )
-    manifest = ctx.manifest()
-    if manifest is not None:
-        allowed = {qid for item in manifest.items for qid in item.question_ids}
-        if allowed:
-            questions = [q for q in questions if q.question_id in allowed]
+    questions = ctx.in_manifest(questions)
     options = ctx.options()
     judge = ctx.judge()
 
@@ -437,8 +407,7 @@ def cmd_agree(ctx: RunContext) -> int:
     model: dict[str, list[RatingVector]] = {}
     if ctx.args.model_annotations:
         model = _vectors_by_channel(
-            corpus_mod.load_annotations(ctx.args.model_annotations, corpus)
-        )
+            corpus_mod.load_annotations(ctx.args.model_annotations, corpus))
     level = ctx.args.level
 
     agreement_reports: dict[str, metrics.AgreementReport] = {}
@@ -525,6 +494,13 @@ def cmd_report(ctx: RunContext) -> int:
 
     if not scorecards and not grades:
         raise EmptyRun("no completed scores found; run `ruler` or `verse grade` first")
+    # failed items are excluded from every cell; their counts become footnotes
+    failed = {}
+    for stage in ("ruler", "verse_gen", "verse_classify", "verse_grade"):
+        summary_path = ctx.out_dir / f"{stage}_summary.json"
+        if summary_path.exists():
+            metas[summary_path.name] = stage_summary = corpus_mod.read_json(summary_path)
+            failed[f"{stage}_failed"] = stage_summary.get("items_failed", 0)
     fingerprint = _check_fingerprints(metas) or ctx.fingerprint
 
     table = report.aggregate_table(scorecards, grades, questions, mapping=ctx.args.mapping)
@@ -535,12 +511,7 @@ def cmd_report(ctx: RunContext) -> int:
         except UnicodeDecodeError as exc:
             raise CorpusFormatError(f"{ctx.args.baseline}: not UTF-8 ({exc.reason})") from None
         report.append_baseline_columns(table, rows)
-    # failed items are excluded from every cell; surface their counts as footnotes
-    for stage in ("ruler", "verse_gen", "verse_classify", "verse_grade"):
-        summary_path = ctx.out_dir / f"{stage}_summary.json"
-        if summary_path.exists():
-            stage_summary = corpus_mod.read_json(summary_path)
-            table.notes[f"{stage}_failed"] = stage_summary.get("items_failed", 0)
+    table.notes.update(failed)
 
     write_csv_with_fingerprint(
         ctx.out_dir / "aggregate.csv", fingerprint, report.table_to_csv(table)
@@ -555,19 +526,21 @@ def cmd_report(ctx: RunContext) -> int:
         svg = report.radar_svg(list(verse.CATEGORIES), _radar_series(table, axis_min),
                                axis_min=axis_min)
         corpus_mod.write_atomic(ctx.out_dir / "radar_scores.svg", svg)
+    by_story: dict[str, list[verse.VerseQuestion]] = {}
+    for q in questions:
+        by_story.setdefault(q.story_id, []).append(q)
     if questions:
         share_series = []
-        for story_id in sorted({q.story_id for q in questions}):
-            story_questions = [q for q in questions if q.story_id == story_id]
-            aggregates = verse.aggregate_categories(story_questions, [])
+        for story_id in sorted(by_story):
+            aggregates = verse.aggregate_categories(by_story[story_id], [])
             share_series.append(
                 (story_id, [aggregates[c].question_share for c in verse.CATEGORIES])
             )
         svg = report.radar_svg(list(verse.CATEGORIES), share_series, axis_min=0.0)
         corpus_mod.write_atomic(ctx.out_dir / "radar_question_shares.svg", svg)
     if ctx.args.radar_per_story and grades:
-        for story_id in sorted({q.story_id for q in questions}):
-            story_questions = [q for q in questions if q.story_id == story_id]
+        for story_id in sorted(by_story):
+            story_questions = by_story[story_id]
             story_qids = {q.question_id for q in story_questions}
             story_grades = [g for g in grades if g.question_id in story_qids]
             if story_grades:
@@ -627,11 +600,16 @@ OPERATIONAL_FLAGS = ("jobs", "out", "run_id", "cache_dir", "timeout", "max_retri
 
 
 @functools.cache
-def fingerprint_fields() -> tuple[str, ...]:
-    """The common flags that identify what a run computed."""
+def _common_parser() -> argparse.ArgumentParser:
+    """The parent parser of every leaf: the flags of `_add_common`."""
     common = argparse.ArgumentParser(add_help=False)
     _add_common(common)
-    return tuple(a.dest for a in common._actions if a.dest not in OPERATIONAL_FLAGS)
+    return common
+
+
+def fingerprint_fields() -> tuple[str, ...]:
+    """The common flags that identify what a run computed."""
+    return tuple(a.dest for a in _common_parser()._actions if a.dest not in OPERATIONAL_FLAGS)
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParser]]:
@@ -643,12 +621,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     )
     sub = parser.add_subparsers(dest="command", required=True)
     leaves: list[argparse.ArgumentParser] = []
-    # every leaf shares these actions
-    common = argparse.ArgumentParser(add_help=False)
-    _add_common(common)
 
     def leaf(name: str, parent: Any = sub, **kwargs) -> argparse.ArgumentParser:
-        p = parent.add_parser(name, parents=[common], **kwargs)
+        p = parent.add_parser(name, parents=[_common_parser()], **kwargs)
         leaves.append(p)
         return p
 

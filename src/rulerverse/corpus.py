@@ -2,7 +2,7 @@
 
 File formats (all UTF-8, line-delimited JSON):
   paragraphs: {"story_id", "index", "source_text", "references": [...], "has_dialogue"?}
-  stories:    {"story_id", "title", "author", "summary"}
+  stories:    {"story_id", "summary", "title"?, "author"?}  (title and author unused)
   candidates: {"system_id", "story_id", "index", "text"}
               (optional first line {"_provenance": {...}})
   annotations:{"rater_id", "channel", "story_id", "index", "system_id",
@@ -26,7 +26,6 @@ from .errors import (
     EmptyText,
     MissingReference,
     NonContiguousIndex,
-    OutOfRange,
     SamplingError,
     UnknownItem,
 )
@@ -62,8 +61,6 @@ class ParagraphPair:
 @dataclass
 class Story:
     story_id: str
-    title: str = ""
-    author: str = ""
     summary: str = ""
     paragraphs: list[ParagraphPair] = field(default_factory=list)
 
@@ -126,14 +123,6 @@ class CandidateSet:
             return 0.0
         return len(self.translations) / corpus.n_paragraphs
 
-    def subset(self, keys: Iterable[tuple[str, int]]) -> "CandidateSet":
-        wanted = set(keys)
-        return CandidateSet(
-            system_id=self.system_id,
-            translations={k: v for k, v in self.translations.items() if k in wanted},
-            provenance=dict(self.provenance),
-        )
-
 
 # -- line-delimited record helpers --
 
@@ -184,8 +173,12 @@ def write_atomic(path: Path | str, data: str | bytes) -> None:
 
     A new file gets mode 0o666 less the umask.  Each process and thread writes
     its own temporary file, so concurrent writers of one path never interfere.
+    Before a process first writes into a directory, it removes the temporary
+    files that writers which are no longer running left there.
     """
     path = Path(path)
+    if path.parent not in _SWEPT:
+        _sweep(path.parent)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
     try:
@@ -200,6 +193,39 @@ def write_atomic(path: Path | str, data: str | bytes) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+_SWEPT: set[Path] = set()
+_SWEEP_LOCK = threading.Lock()
+
+
+def _sweep(directory: Path) -> None:
+    """Remove from `directory` the temporary files of writers that no longer run."""
+    with _SWEEP_LOCK:
+        real = directory.resolve()
+        if real not in _SWEPT:
+            for tmp in real.glob("*.*.*.tmp"):
+                pid, tid = tmp.name.split(".")[-3:-1]
+                if pid.isdigit() and tid.isdigit() and _dead(int(pid)):
+                    tmp.unlink(missing_ok=True)
+        _SWEPT.update((real, directory))
+
+
+def _dead(pid: int) -> bool:
+    """Whether no writer runs under `pid`.  A sweep precedes every write of this
+    process into its directory, so a temporary named with this process's own pid
+    was left by an earlier process that had the same pid."""
+    if pid == os.getpid():
+        return True
+    if os.name != "posix":  # there is no signal that only tests a process
+        return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except PermissionError:  # another user's process
+        pass
+    return False
 
 
 def write_jsonl(path: Path | str, records: Iterable[dict]) -> None:
@@ -292,43 +318,11 @@ def load_corpus(paragraphs_path: Path | str, stories_path: Path | str | None = N
                 raise UnknownItem(f"{where}: metadata for unknown story {story_id!r}")
             if "summary" not in record:
                 raise CorpusFormatError(f"{where}: summary field must be present")
-            story = stories[story_id]
-            story.title = str(record.get("title", ""))
-            story.author = str(record.get("author", ""))
-            story.summary = str(record.get("summary", ""))
+            stories[story_id].summary = str(record["summary"])
 
     corpus = Corpus(stories=stories)
     log.info("loaded corpus: %d stories, %d paragraphs", corpus.n_stories, corpus.n_paragraphs)
     return corpus
-
-
-def save_corpus(corpus: Corpus, paragraphs_path: Path | str, stories_path: Path | str | None = None) -> None:
-    """Serialize a corpus back to the file formats load_corpus reads."""
-    records = []
-    for pair in corpus.pairs():
-        record = {
-            "story_id": pair.story_id,
-            "index": pair.index,
-            "source_text": pair.source_text,
-            "references": list(pair.references),
-        }
-        if pair.has_dialogue is not None:
-            record["has_dialogue"] = pair.has_dialogue
-        records.append(record)
-    write_jsonl(paragraphs_path, records)
-    if stories_path is not None:
-        write_jsonl(
-            stories_path,
-            [
-                {
-                    "story_id": s.story_id,
-                    "title": s.title,
-                    "author": s.author,
-                    "summary": s.summary,
-                }
-                for s in corpus.stories.values()
-            ],
-        )
 
 
 def load_candidates(path: Path | str, corpus: Corpus) -> CandidateSet:
@@ -384,12 +378,8 @@ def _annotation(record: dict, corpus: Corpus, where: str) -> tuple[str, str, str
     channel = _require(record, "channel", where)
     if channel not in CHANNELS:
         raise CorpusFormatError(f"{where}: unknown channel {channel!r}")
-    score = _require(record, "score", where)
-    if not isinstance(score, int) or isinstance(score, bool):
-        raise CorpusFormatError(f"{where}: score must be an integer")
     scale = VERSE_SCALE if channel == VERSE_CHANNEL else RULER_SCALE
-    if not scale.min <= score <= scale.max:
-        raise OutOfRange(score, scale.min, scale.max)
+    score = _score(_require(record, "score", where), scale, where)
     system_id = _identifier(record, "system_id", where)
     if channel == VERSE_CHANNEL:
         item_id = f"{_identifier(record, 'question_id', where)}::{system_id}"

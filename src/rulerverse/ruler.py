@@ -40,15 +40,9 @@ class Criterion(Enum):
 
     @property
     def display_name(self) -> str:
-        return _DISPLAY_NAMES[self]
+        return {"honorifics": "Honorifics", "lexical": "Lexical Choice",
+                "syntax": "Syntax and Grammar", "content": "Content Accuracy"}[self.value]
 
-
-_DISPLAY_NAMES = {
-    Criterion.HONORIFICS: "Honorifics",
-    Criterion.LEXICAL_CHOICE: "Lexical Choice",
-    Criterion.SYNTAX_GRAMMAR: "Syntax and Grammar",
-    Criterion.CONTENT_ACCURACY: "Content Accuracy",
-}
 
 CRITERIA = tuple(Criterion)
 
@@ -197,9 +191,6 @@ def ruler_prompt_sections(
     shots: Sequence[ScoredExample] = (),
 ) -> list[tuple[str, str]]:
     """Prompt blocks in fixed order; each toggle adds or removes exactly one."""
-    if not candidate_text.strip():
-        raise EmptyCandidate(f"empty candidate for ({pair.story_id!r}, {pair.index})")
-
     sections: list[tuple[str, str]] = [
         (
             "Task",
@@ -228,6 +219,8 @@ def judged_sections(
 ) -> list[tuple[str, str]]:
     """The tail of every scoring prompt: the texts under judgement and the
     instruction to end with a "Score: N" line, N being `scale_text`."""
+    if not candidate_text.strip():
+        raise EmptyCandidate(f"empty candidate for ({pair.story_id!r}, {pair.index})")
     sections = [("Source passage", pair.source_text)]
     if options.include_reference:
         sections.append(("Reference translation", pair.reference(options.reference_index)))
@@ -364,30 +357,17 @@ def audit_honorifics(scorecards: Iterable[RubricScorecard], corpus: Corpus) -> H
         if score == 5:
             compliant += 1
         else:
-            violations.append(
-                {
-                    "system_id": card.system_id,
-                    "story_id": card.story_id,
-                    "index": card.index,
-                    "score": score,
-                }
-            )
-    return HonorificsAudit(
-        checked=checked, compliant=compliant, untagged=untagged, violations=violations
-    )
+            violations.append({"system_id": card.system_id, "story_id": card.story_id,
+                               "index": card.index, "score": score})
+    return HonorificsAudit(checked, compliant, untagged, violations)
 
 
 # -- scorecard records (one per (system_id, story_id, index)) --
 
 def scorecard_to_record(card: RubricScorecard, options_fp: str, model_id: str) -> dict:
-    return {
-        "system_id": card.system_id,
-        "story_id": card.story_id,
-        "index": card.index,
-        "scores": {c.value: card.scores[c] for c in CRITERIA},
-        "options": options_fp,
-        "model_id": model_id,
-    }
+    return {"system_id": card.system_id, "story_id": card.story_id, "index": card.index,
+            "scores": {c.value: card.scores[c] for c in CRITERIA},
+            "options": options_fp, "model_id": model_id}
 
 
 def scorecard_from_record(record: dict, where: str = "scorecard") -> RubricScorecard:

@@ -188,8 +188,6 @@ def build_grading_prompt(
     options: PromptOptions,
     summary: str = "",
 ) -> JudgeRequest:
-    if not candidate_text.strip():
-        raise EmptyCandidate(f"empty candidate for ({pair.story_id!r}, {pair.index})")
     sections = [
         (
             "Task",
@@ -239,15 +237,13 @@ def aggregate_categories(
     category's questions via the score-to-percentage mapping.
     """
     category_of: dict[str, str] = {}
+    q_counts = {c: 0 for c in CATEGORIES}
     for q in questions:
         if q.category is None:
             raise UnclassifiedQuestion(f"question {q.question_id} has no category")
         if q.category not in CATEGORIES:
             raise UnmappableCategory(f"question {q.question_id}: {q.category!r}")
         category_of[q.question_id] = q.category
-
-    q_counts = {c: 0 for c in CATEGORIES}
-    for q in questions:
         q_counts[q.category] += 1
     n_questions = len(questions)
 
@@ -287,13 +283,8 @@ def question_from_record(record: dict, where: str = "question") -> VerseQuestion
 
 
 def grade_to_record(grade: VerseGrade, options_fp: str, model_id: str) -> dict:
-    return {
-        "question_id": grade.question_id,
-        "system_id": grade.system_id,
-        "score": grade.score,
-        "options": options_fp,
-        "model_id": model_id,
-    }
+    return {"question_id": grade.question_id, "system_id": grade.system_id,
+            "score": grade.score, "options": options_fp, "model_id": model_id}
 
 
 def grade_from_record(record: dict, where: str = "grade") -> VerseGrade:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import subprocess
 import sys
 import tempfile
 import threading
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURES, write_synthetic_corpus
 from oracles import alpha_coincidence_oracle, rho_oracle, tau_b_oracle
+import rulerverse
 from rulerverse.cli import _add_common, build_parser, config_fingerprint, main
 from rulerverse.judge import Judge, MockScript
 from rulerverse.metrics import RatingVector
@@ -208,6 +210,26 @@ def test_report_refuses_mixed_fingerprints(tmp_path, capsys):
     assert code == 1
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "MixedFingerprint"
+
+
+def test_report_refuses_the_summary_of_another_run(tmp_path, capsys):
+    """Run r1's ruler failed on every item.  A report in r1 over run r2's
+    scorecards would footnote r1's failures under r2's fingerprint."""
+    script = tmp_path / "out_of_range.json"
+    script.write_text(json.dumps({"rules": [], "default": "Score: 9"}), encoding="utf-8")
+    flags_r1 = common_flags(tmp_path, run_id="r1")
+    flags_r1[flags_r1.index("--script") + 1] = str(script)
+    assert main(["ruler"] + flags_r1) == 0
+    summary = json.loads((tmp_path / "out" / "r1" / "ruler_summary.json").read_text())
+    assert summary["items_failed"] == summary["items_total"] == 20
+    assert main(["ruler"] + common_flags(tmp_path, run_id="r2")) == 0
+    capsys.readouterr()
+    scorecards = tmp_path / "out" / "r2" / "scorecards.jsonl"
+    assert main(["report"] + common_flags(tmp_path, run_id="r1")
+                + ["--scorecards", str(scorecards)]) == 1
+    err = _error_payload(capsys)
+    assert err["error"] == "MixedFingerprint" and "ruler_summary.json" in err["message"]
+    assert not (tmp_path / "out" / "r1" / "aggregate.json").exists()
 
 
 def _annotation_vectors():
@@ -985,3 +1007,53 @@ def test_interrupted_pipeline_resumes_to_identical_artifacts(uninterrupted, data
         with patch.object(MockScript, "respond", interrupting), pytest.raises(KeyboardInterrupt):
             _run_pipeline(Path(tmp))
         assert _artifacts(_run_pipeline(Path(tmp))) == expected
+
+
+# ends the process at a persistence point of `corpus.write_atomic`: after the
+# first bytes of the temporary file of the artifact named argv[1], or at its rename
+CRASHING_RUN = """
+import os, sys
+from rulerverse.cli import main
+name, point = sys.argv[1:3]
+real_open, real_replace = os.open, os.replace
+
+def dying_open(path, flags, *args):
+    fd = real_open(path, flags, *args)
+    if point == "write" and os.path.basename(path).startswith(name + "."):
+        os.write(fd, b'{"_meta"')
+        os._exit(9)
+    return fd
+
+def dying_replace(src, dst, **kwargs):
+    if point == "rename" and os.path.basename(dst) == name:
+        os._exit(9)
+    return real_replace(src, dst, **kwargs)
+
+os.open, os.replace = dying_open, dying_replace
+sys.exit(main(sys.argv[3:]))
+"""
+
+
+@pytest.fixture(scope="module")
+def uninterrupted_ruler(tmp_path_factory) -> dict[str, object]:
+    root = tmp_path_factory.mktemp("uninterrupted_ruler")
+    assert main(["ruler"] + common_flags(root)) == 0
+    return _artifacts(root / "out" / "run1")
+
+
+@pytest.mark.parametrize("point", ["write", "rename"])
+@pytest.mark.parametrize("name", ["scorecards.jsonl", "honorifics_audit.json",
+                                  "ruler_summary.json"])
+def test_ruler_killed_while_writing_resumes_to_the_same_run_directory(
+        tmp_path, uninterrupted_ruler, name, point):
+    """A process that dies inside an atomic write leaves its temporary file;
+    the resumed run removes it along with redoing the write."""
+    src = Path(rulerverse.__file__).resolve().parents[1]
+    killed = subprocess.run(
+        [sys.executable, "-c", CRASHING_RUN, name, point, "ruler", *common_flags(tmp_path)],
+        env={"PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}, capture_output=True)
+    assert killed.returncode == 9, killed.stderr.decode()
+    run_dir = tmp_path / "out" / "run1"
+    assert list(run_dir.glob(f"{name}.*.tmp"))
+    assert main(["ruler"] + common_flags(tmp_path)) == 0
+    assert _artifacts(run_dir) == uninterrupted_ruler

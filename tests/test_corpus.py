@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +20,7 @@ from rulerverse.corpus import (
     load_corpus,
     sample_items,
     save_candidates,
-    save_corpus,
+    write_atomic,
 )
 from rulerverse.errors import (
     CorpusFormatError,
@@ -24,7 +28,6 @@ from rulerverse.errors import (
     DuplicateItem,
     EmptyText,
     NonContiguousIndex,
-    OutOfRange,
     SamplingError,
     UnknownItem,
 )
@@ -33,6 +36,17 @@ from rulerverse.errors import (
 def _write_lines(path, records):
     path.write_text("\n".join(json.dumps(r) for r in records) + "\n", encoding="utf-8")
     return path
+
+
+def _save_corpus(corpus, paragraphs_path, stories_path):
+    """Write `corpus` in the two file formats that load_corpus reads."""
+    _write_lines(paragraphs_path, [
+        {"story_id": p.story_id, "index": p.index, "source_text": p.source_text,
+         "references": list(p.references),
+         **({} if p.has_dialogue is None else {"has_dialogue": p.has_dialogue})}
+        for p in corpus.pairs()])
+    _write_lines(stories_path, [{"story_id": s.story_id, "summary": s.summary}
+                                for s in corpus.stories.values()])
 
 
 def test_load_fixture_corpus_counts(fixture_corpus):
@@ -147,7 +161,7 @@ def test_full_scale_corpus_shape(tmp_path):
 def test_round_trip_fixture(tmp_path, fixture_corpus):
     p = tmp_path / "paragraphs.jsonl"
     s = tmp_path / "stories.jsonl"
-    save_corpus(fixture_corpus, p, s)
+    _save_corpus(fixture_corpus, p, s)
     again = load_corpus(p, s)
     assert again.n_stories == fixture_corpus.n_stories
     assert list(again.pairs()) == list(fixture_corpus.pairs())
@@ -184,11 +198,56 @@ def test_round_trip_property(tmp_path_factory, story_specs):
         stories[sid] = Story(story_id=sid, summary=summary, paragraphs=pairs)
     corpus = Corpus(stories=stories)
     tmp = tmp_path_factory.mktemp("rt")
-    save_corpus(corpus, tmp / "p.jsonl", tmp / "s.jsonl")
+    _save_corpus(corpus, tmp / "p.jsonl", tmp / "s.jsonl")
     again = load_corpus(tmp / "p.jsonl", tmp / "s.jsonl")
     assert list(again.pairs()) == list(corpus.pairs())
     for sid in stories:
         assert again.story(sid).summary == stories[sid].summary
+
+
+
+def _race_first_writes(run_dir: Path, spelled: Path) -> list[BaseException]:
+    """Eight threads, half naming `run_dir` as `spelled`, start together and
+    each write one file 50 times; returns what they raised."""
+    errors: list[BaseException] = []
+    start = threading.Barrier(8)
+
+    def writer(k: int) -> None:
+        base = spelled if k % 2 else run_dir
+        try:
+            start.wait(timeout=60)
+            for i in range(50):
+                write_atomic(base / f"f{k}.json", str(i))
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=writer, args=(k,)) for k in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    return errors
+
+
+def test_first_writes_into_a_directory_from_many_threads_never_interfere(tmp_path, monkeypatch):
+    """Threads whose first writes into a directory race, under two spellings
+    of its path, complete every write; the temporary file that an earlier
+    process with this pid left there is removed.  Five fresh directories, five
+    races."""
+    monkeypatch.chdir(tmp_path)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for n in range(5):
+            run_dir = tmp_path / f"run{n}"
+            run_dir.mkdir()
+            (run_dir / f"left.json.{os.getpid()}.1.tmp").write_text("{", encoding="utf-8")
+            assert _race_first_writes(run_dir, Path(f"run{n}")) == []
+            assert sorted(p.name for p in run_dir.iterdir()) == [f"f{k}.json" for k in range(8)]
+            assert {(run_dir / f"f{k}.json").read_text(encoding="utf-8") for k in range(8)} == {"49"}
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # -- candidates --
@@ -291,14 +350,14 @@ def test_annotation_score_ranges(tmp_path, fixture_corpus):
         [{"rater_id": "r", "channel": "syntax", "story_id": "st-arbor", "index": 0,
           "system_id": "alpha", "score": 6}],
     )
-    with pytest.raises(OutOfRange):
+    with pytest.raises(CorpusFormatError, match=r"a\.jsonl:1: score must be an integer in 1\.\.5"):
         load_annotations(bad_ruler, fixture_corpus)
     bad_verse = _write_lines(
         tmp_path / "b.jsonl",
         [{"rater_id": "r", "channel": "verse", "question_id": "q", "system_id": "alpha",
           "score": 4}],
     )
-    with pytest.raises(OutOfRange):
+    with pytest.raises(CorpusFormatError, match=r"b\.jsonl:1: score must be an integer in 1\.\.3"):
         load_annotations(bad_verse, fixture_corpus)
 
 
@@ -325,13 +384,13 @@ def _without(record, key):
     pytest.param(json.dumps(_without(_ANNOTATION, "score")), CorpusFormatError,
                  "{path}:2: missing field 'score'", id="missing-score"),
     pytest.param(json.dumps({**_ANNOTATION, "score": True}), CorpusFormatError,
-                 "{path}:2: score must be an integer", id="score-true"),
+                 "{path}:2: score must be an integer in 1..5, got True", id="score-true"),
     pytest.param(json.dumps({**_ANNOTATION, "score": 3.0}), CorpusFormatError,
-                 "{path}:2: score must be an integer", id="score-float"),
-    pytest.param(json.dumps({**_ANNOTATION, "score": 6}), OutOfRange,
-                 "score 6 outside allowed range 1..5", id="score-above-ruler"),
-    pytest.param(json.dumps({**_VERSE_ANNOTATION, "score": 4}), OutOfRange,
-                 "score 4 outside allowed range 1..3", id="score-above-verse"),
+                 "{path}:2: score must be an integer in 1..5, got 3.0", id="score-float"),
+    pytest.param(json.dumps({**_ANNOTATION, "score": 6}), CorpusFormatError,
+                 "{path}:2: score must be an integer in 1..5, got 6", id="score-above-ruler"),
+    pytest.param(json.dumps({**_VERSE_ANNOTATION, "score": 4}), CorpusFormatError,
+                 "{path}:2: score must be an integer in 1..3, got 4", id="score-above-verse"),
     pytest.param(json.dumps(_without(_ANNOTATION, "system_id")), CorpusFormatError,
                  "{path}:2: missing field 'system_id'", id="missing-system-id"),
     pytest.param(json.dumps({**_VERSE_ANNOTATION, "question_id": 1}), CorpusFormatError,

@@ -91,6 +91,13 @@ AGREE_FIXTURES = (25, "78ed04d10cc15a6a704233e220b04735faf194618eb2c470375ea013a
 AGREE_LIKERT = (22, "820d949ac170dd87f5f5866eac5fb7f8653e6954954ae8d4dd9684e5bbdb771b")
 
 
+def _run_digest(run_dir: Path) -> tuple[int, str]:
+    """(files, sha256 over "name sha256" lines) of `run_dir`."""
+    lines = [f"{path.name} {hashlib.sha256(path.read_bytes()).hexdigest()}"
+             for path in sorted(run_dir.iterdir())]
+    return len(lines), hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+
+
 def _agree_run(tmp_path: Path, monkeypatch, annotations: list[dict], model: list[dict]):
     """`agree` from tmp_path with relative paths, so the fingerprint, and with
     it every artifact, does not depend on where the test runs."""
@@ -100,9 +107,7 @@ def _agree_run(tmp_path: Path, monkeypatch, annotations: list[dict], model: list
     argv = ["agree", "--corpus", "corpus.jsonl", "--annotations", "annotations.jsonl",
             "--model-annotations", "model.jsonl", "--run-id", "golden"]
     assert main(argv) == 0
-    lines = [f"{path.name} {hashlib.sha256(path.read_bytes()).hexdigest()}"
-             for path in sorted(Path("out", "golden").iterdir())]
-    return len(lines), hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    return _run_digest(Path("out", "golden"))
 
 
 def test_agree_artifacts_on_the_fixtures(tmp_path, monkeypatch):
@@ -140,3 +145,28 @@ def test_agree_artifacts_on_a_seeded_likert_input(tmp_path, monkeypatch):
                          "system_id": system_id,
                          "score": _likert(rng, (truth + 1) // 2, 3, spread // 2)})
     assert _agree_run(tmp_path, monkeypatch, humans, model) == AGREE_LIKERT
+
+
+# _run_digest of a run directory after translate, ruler, verse gen, classify and
+# grade and `report --radar-per-story` on the fixtures; taken from the code as it
+# stood before the stage decisions of cli.py were each moved to one place
+PIPELINE_FIXTURES = (17, "b8f1fec8f2ca3843a4a8e95633650e0c3a1484496691bd69138547e1e14f26ae")
+
+
+def test_pipeline_artifacts_on_the_fixtures(tmp_path, monkeypatch):
+    """Every judge stage and `report` from tmp_path with relative paths, so
+    the fingerprint, and with it every artifact, does not depend on where the
+    test runs."""
+    monkeypatch.chdir(tmp_path)
+    inputs = ["corpus.jsonl", "stories.jsonl", "candidates_alpha.jsonl", "candidates_beta.jsonl"]
+    for name in inputs:
+        shutil.copy(FIXTURES / name, name)
+    script = json.loads((FIXTURES / "mock_script.json").read_text(encoding="utf-8"))
+    script["rules"] = EXTRA_RULES + script["rules"]
+    Path("script.json").write_text(json.dumps(script), encoding="utf-8")
+    flags = ["--corpus", "corpus.jsonl", "--stories", "stories.jsonl", "--candidates",
+             *inputs[2:], "--script", "script.json", "--run-id", "golden"]
+    for argv in (STAGES[0], ["ruler"], ["verse", "gen"], ["verse", "classify"],
+                 ["verse", "grade"], ["report", "--radar-per-story"]):
+        assert main(argv + flags) == 0, argv
+    assert _run_digest(Path("out", "golden")) == PIPELINE_FIXTURES

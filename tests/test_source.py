@@ -58,3 +58,59 @@ def test_unused_import_check_flags_a_planted_import():
         "    json.dumps(x)  # Path and Any are used, system is not\n"
     )
     assert unused_imports(source) == ["line 3: system"]
+
+
+def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
+    """The top-level functions and classes in `sources` (module name to source
+    text) that no code names outside their own body, as "module.name".  A name
+    counts when it is used, imported, read as an attribute or quoted as an
+    identifier (an annotation, a getattr).  Dunder names are left out."""
+    defined: list[tuple[str, str]] = []
+    named: set[str] = set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            names = set()
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    names.add(sub.id)
+                elif isinstance(sub, ast.Attribute):
+                    names.add(sub.attr)
+                elif isinstance(sub, ast.alias):
+                    names.add(sub.name)
+                elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                    names.add(sub.value)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.discard(node.name)
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    defined.append((module, node.name))
+            named |= names
+    return [f"{module}.{name}" for module, name in defined if name not in named]
+
+
+def test_every_top_level_definition_is_named_elsewhere_in_the_package():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    # `cli.entry` is named only by the console script in pyproject.toml
+    assert [d for d in unreferenced_definitions(sources) if d != "cli.entry"] == []
+
+
+def test_unreferenced_definition_check_flags_a_planted_definition():
+    sources = {
+        "a": (
+            "def used():\n"
+            "    pass\n"
+            "def planted():\n"
+            "    return planted()  # its own body does not count\n"
+            "def __getattr__(name):\n"
+            "    pass\n"
+        ),
+        "b": (
+            "from .a import used as _used  # names `used`\n"
+            "class Quoted:\n"
+            "    pass\n"
+            "class Attribute:\n"
+            "    pass\n"
+            "def f(x: 'Quoted') -> None:\n"
+            "    return _used(x.Attribute)\n"
+        ),
+    }
+    assert unreferenced_definitions(sources) == ["a.planted", "b.f"]
