@@ -103,18 +103,18 @@ class RunContext:
             raise EvalError("--candidates is required for this subcommand")
         return [corpus_mod.load_candidates(p, corpus) for p in self.args.candidates]
 
-    def in_manifest(self, items: list) -> list:
+    def in_manifest(self, items: list, by_question: bool = False) -> list:
         """The paragraphs or questions of `items` that --manifest lists, all of
-        them without one.  A manifest that names questions also drops every
-        other question."""
+        them without one.  With `by_question`, a manifest that names questions
+        keeps only those."""
         if not self.args.manifest:
             return items
         path = self.args.manifest
         manifest = SampleManifest.from_dict(corpus_mod.read_json(path), str(path))
-        keys = set(manifest.keys())
-        qids = {qid for item in manifest.items for qid in item.question_ids}
+        keys = {(item.story_id, item.index) for item in manifest.items}
+        qids = {qid for item in manifest.items for qid in item.question_ids} if by_question else ()
         return [x for x in items if (x.story_id, x.index) in keys and (
-            not qids or isinstance(x, ParagraphPair) or x.question_id in qids)]
+            not qids or x.question_id in qids)]
 
     def judge(self) -> Judge:
         args = self.args
@@ -158,8 +158,14 @@ class RunContext:
             meta["options"] = options.fingerprint()
         return meta
 
-    def write_summary(self, name: str, judge: Judge | None, items_total: int,
-                      failures: Sequence[ItemFailure], extra: dict | None = None) -> None:
+    def write_summary(
+        self,
+        name: str,
+        judge: Judge | None,
+        items_total: int,
+        failures: Sequence[ItemFailure],
+        extra: dict | None = None,
+    ) -> None:
         summary: dict[str, Any] = {
             "subcommand": name,
             "fingerprint": self.fingerprint,
@@ -186,11 +192,8 @@ def cmd_validate(ctx: RunContext) -> int:
         "paragraphs": corpus.n_paragraphs,
     }
     if ctx.args.candidates:
-        coverage = {}
-        for path in ctx.args.candidates:
-            cands = corpus_mod.load_candidates(path, corpus)
-            coverage[cands.system_id] = round(cands.coverage(corpus), 6)
-        result["candidates"] = coverage
+        result["candidates"] = {cands.system_id: round(cands.coverage(corpus), 6)
+                                for cands in ctx.load_candidates(corpus)}
     if ctx.args.annotations:
         scores = corpus_mod.load_annotations(ctx.args.annotations, corpus)
         result["annotations"] = sum(
@@ -201,15 +204,27 @@ def cmd_validate(ctx: RunContext) -> int:
 
 def cmd_sample(ctx: RunContext) -> int:
     corpus = ctx.load_corpus()
+    story_ids = ctx.args.sample_stories or corpus.story_ids()
     questions = None
     if ctx.args.questions:
         _, questions = read_artifact(Path(ctx.args.questions), verse.question_from_record)
+    systems = ctx.args.systems or None
     manifest = corpus_mod.sample_items(
-        corpus, ctx.args.sample_stories or corpus.story_ids(), ctx.args.n_per_story,
-        ctx.args.q_per_item, ctx.args.seed, questions, ctx.args.systems or None)
-    write_json(ctx.out_dir / "manifest.json", {"fingerprint": ctx.fingerprint, **asdict(manifest)})
-    print(json.dumps({"items": manifest.n_items, "questions": manifest.n_questions},
-                     sort_keys=True))
+        corpus,
+        story_ids,
+        n_per_story=ctx.args.n_per_story,
+        q_per_item=ctx.args.q_per_item,
+        seed=ctx.args.seed,
+        questions=questions,
+        systems=systems,
+    )
+    payload = {"fingerprint": ctx.fingerprint, **asdict(manifest)}
+    write_json(ctx.out_dir / "manifest.json", payload)
+    print(
+        json.dumps(
+            {"items": manifest.n_items, "questions": manifest.n_questions}, sort_keys=True
+        )
+    )
     return 0
 
 
@@ -330,9 +345,11 @@ def cmd_verse_classify(ctx: RunContext) -> int:
     # a question that failed keeps category null, so a rerun retries only it
     meta = meta or ctx.meta(judge)
     write_artifact(path, meta, [verse.question_to_record(q) for q in questions])
+    # the summary speaks for the questions it classified, under their fingerprint
     ctx.write_summary(
         "verse_classify", judge, len(questions), failures,
-        extra={"classified": len(questions) - len(failures)},
+        extra={"classified": len(questions) - len(failures),
+               "fingerprint": meta.get("fingerprint", ctx.fingerprint)},
     )
     return 0
 
@@ -346,7 +363,7 @@ def cmd_verse_grade(ctx: RunContext) -> int:
         raise UnclassifiedQuestion(
             f"{len(unclassified)} questions lack categories; run `verse classify` first"
         )
-    questions = ctx.in_manifest(questions)
+    questions = ctx.in_manifest(questions, by_question=True)
     options = ctx.options()
     judge = ctx.judge()
 
@@ -407,7 +424,8 @@ def cmd_agree(ctx: RunContext) -> int:
     model: dict[str, list[RatingVector]] = {}
     if ctx.args.model_annotations:
         model = _vectors_by_channel(
-            corpus_mod.load_annotations(ctx.args.model_annotations, corpus))
+            corpus_mod.load_annotations(ctx.args.model_annotations, corpus)
+        )
     level = ctx.args.level
 
     agreement_reports: dict[str, metrics.AgreementReport] = {}
@@ -531,16 +549,15 @@ def cmd_report(ctx: RunContext) -> int:
         by_story.setdefault(q.story_id, []).append(q)
     if questions:
         share_series = []
-        for story_id in sorted(by_story):
-            aggregates = verse.aggregate_categories(by_story[story_id], [])
+        for story_id, story_questions in sorted(by_story.items()):
+            aggregates = verse.aggregate_categories(story_questions, [])
             share_series.append(
                 (story_id, [aggregates[c].question_share for c in verse.CATEGORIES])
             )
         svg = report.radar_svg(list(verse.CATEGORIES), share_series, axis_min=0.0)
         corpus_mod.write_atomic(ctx.out_dir / "radar_question_shares.svg", svg)
     if ctx.args.radar_per_story and grades:
-        for story_id in sorted(by_story):
-            story_questions = by_story[story_id]
+        for story_id, story_questions in sorted(by_story.items()):
             story_qids = {q.question_id for q in story_questions}
             story_grades = [g for g in grades if g.question_id in story_qids]
             if story_grades:

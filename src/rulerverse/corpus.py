@@ -14,6 +14,7 @@ import hashlib
 import json
 import logging
 import os
+import socket
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -171,21 +172,26 @@ def write_atomic(path: Path | str, data: str | bytes) -> None:
     """Replace `path` with `data` through a temporary file and a rename, so no
     reader ever sees a partial file.
 
-    A new file gets mode 0o666 less the umask.  Each process and thread writes
-    its own temporary file, so concurrent writers of one path never interfere.
-    Before a process first writes into a directory, it removes the temporary
-    files that writers which are no longer running left there.
+    A new file gets mode 0o666 less the umask.  Each host, process and thread
+    writes its own temporary file, `<name>.<host>.<pid>.<tid>.tmp`, so
+    concurrent writers of one path never interfere.  A write first removes the
+    temporary files of `path` that dead writers on this host left behind; this
+    assumes that the writers on one host name share one process-id namespace.
     """
     path = Path(path)
-    if path.parent not in _SWEPT:
-        _sweep(path.parent)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-    flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
+    prefix = f"{path.name}.{_HOST}."
     try:
-        fd = os.open(tmp, flags, 0o666)
+        names = os.listdir(path.parent)
     except FileNotFoundError:
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd = os.open(tmp, flags, 0o666)
+        names = []
+    for name in names:
+        if name.startswith(prefix) and name.endswith(".tmp"):
+            pid, _, tid = name[len(prefix):-len(".tmp")].partition(".")
+            if pid.isdigit() and tid.isdigit() and _dead(int(pid)):
+                (path.parent / name).unlink(missing_ok=True)
+    tmp = path.with_name(f"{prefix}{os.getpid()}.{threading.get_ident()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
     try:
         with os.fdopen(fd, "wb") as f:
             f.write(data.encode("utf-8") if isinstance(data, str) else data)
@@ -195,36 +201,17 @@ def write_atomic(path: Path | str, data: str | bytes) -> None:
         raise
 
 
-_SWEPT: set[Path] = set()
-_SWEEP_LOCK = threading.Lock()
-
-
-def _sweep(directory: Path) -> None:
-    """Remove from `directory` the temporary files of writers that no longer run."""
-    with _SWEEP_LOCK:
-        real = directory.resolve()
-        if real not in _SWEPT:
-            for tmp in real.glob("*.*.*.tmp"):
-                pid, tid = tmp.name.split(".")[-3:-1]
-                if pid.isdigit() and tid.isdigit() and _dead(int(pid)):
-                    tmp.unlink(missing_ok=True)
-        _SWEPT.update((real, directory))
+_HOST = socket.gethostname()
 
 
 def _dead(pid: int) -> bool:
-    """Whether no writer runs under `pid`.  A sweep precedes every write of this
-    process into its directory, so a temporary named with this process's own pid
-    was left by an earlier process that had the same pid."""
-    if pid == os.getpid():
-        return True
+    """Whether no process runs under `pid`."""
     if os.name != "posix":  # there is no signal that only tests a process
         return False
     try:
         os.kill(pid, 0)
-    except ProcessLookupError:
-        return True
-    except PermissionError:  # another user's process
-        pass
+    except (OSError, OverflowError) as exc:  # EPERM: a process of another user
+        return isinstance(exc, ProcessLookupError)
     return False
 
 
@@ -458,9 +445,6 @@ class SampleManifest:
     @property
     def n_questions(self) -> int:
         return sum(len(it.question_ids) for it in self.items)
-
-    def keys(self) -> list[tuple[str, int]]:
-        return [(it.story_id, it.index) for it in self.items]
 
     @classmethod
     def from_dict(cls, data: dict, where: str) -> "SampleManifest":

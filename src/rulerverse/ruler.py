@@ -40,9 +40,15 @@ class Criterion(Enum):
 
     @property
     def display_name(self) -> str:
-        return {"honorifics": "Honorifics", "lexical": "Lexical Choice",
-                "syntax": "Syntax and Grammar", "content": "Content Accuracy"}[self.value]
+        return _DISPLAY_NAMES[self]
 
+
+_DISPLAY_NAMES = {
+    Criterion.HONORIFICS: "Honorifics",
+    Criterion.LEXICAL_CHOICE: "Lexical Choice",
+    Criterion.SYNTAX_GRAMMAR: "Syntax and Grammar",
+    Criterion.CONTENT_ACCURACY: "Content Accuracy",
+}
 
 CRITERIA = tuple(Criterion)
 
@@ -357,17 +363,30 @@ def audit_honorifics(scorecards: Iterable[RubricScorecard], corpus: Corpus) -> H
         if score == 5:
             compliant += 1
         else:
-            violations.append({"system_id": card.system_id, "story_id": card.story_id,
-                               "index": card.index, "score": score})
-    return HonorificsAudit(checked, compliant, untagged, violations)
+            violations.append(
+                {
+                    "system_id": card.system_id,
+                    "story_id": card.story_id,
+                    "index": card.index,
+                    "score": score,
+                }
+            )
+    return HonorificsAudit(
+        checked=checked, compliant=compliant, untagged=untagged, violations=violations
+    )
 
 
 # -- scorecard records (one per (system_id, story_id, index)) --
 
 def scorecard_to_record(card: RubricScorecard, options_fp: str, model_id: str) -> dict:
-    return {"system_id": card.system_id, "story_id": card.story_id, "index": card.index,
-            "scores": {c.value: card.scores[c] for c in CRITERIA},
-            "options": options_fp, "model_id": model_id}
+    return {
+        "system_id": card.system_id,
+        "story_id": card.story_id,
+        "index": card.index,
+        "scores": {c.value: card.scores[c] for c in CRITERIA},
+        "options": options_fp,
+        "model_id": model_id,
+    }
 
 
 def scorecard_from_record(record: dict, where: str = "scorecard") -> RubricScorecard:

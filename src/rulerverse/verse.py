@@ -283,8 +283,13 @@ def question_from_record(record: dict, where: str = "question") -> VerseQuestion
 
 
 def grade_to_record(grade: VerseGrade, options_fp: str, model_id: str) -> dict:
-    return {"question_id": grade.question_id, "system_id": grade.system_id,
-            "score": grade.score, "options": options_fp, "model_id": model_id}
+    return {
+        "question_id": grade.question_id,
+        "system_id": grade.system_id,
+        "score": grade.score,
+        "options": options_fp,
+        "model_id": model_id,
+    }
 
 
 def grade_from_record(record: dict, where: str = "grade") -> VerseGrade:

@@ -232,6 +232,21 @@ def test_report_refuses_the_summary_of_another_run(tmp_path, capsys):
     assert not (tmp_path / "out" / "r1" / "aggregate.json").exists()
 
 
+def test_report_takes_the_classify_summary_of_the_questions_it_classified(tmp_path):
+    """`verse classify` keeps the meta of the questions it classifies, so its
+    summary carries their fingerprint, whatever flags the classify run had."""
+    flags = common_flags(tmp_path)
+    assert main(["verse", "gen"] + flags) == 0
+    assert main(["verse", "classify"] + flags + ["--seed", "7"]) == 0
+    assert main(["verse", "grade"] + flags) == 0
+    run_dir = tmp_path / "out" / "run1"
+    meta, _ = read_artifact(run_dir / "questions.jsonl")
+    summary = json.loads((run_dir / "verse_classify_summary.json").read_text(encoding="utf-8"))
+    assert summary["fingerprint"] == meta["fingerprint"] == config_fingerprint(
+        build_parser()[0].parse_args(["verse", "gen"] + flags))
+    assert main(["report"] + flags) == 0
+
+
 def _annotation_vectors():
     """channel -> rater -> {item_id: score}, straight from the fixture file."""
     by_channel: dict[str, dict[str, dict[str, int]]] = {}

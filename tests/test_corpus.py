@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import os
+import socket
+import subprocess
 import sys
 import threading
 from pathlib import Path
@@ -206,48 +208,43 @@ def test_round_trip_property(tmp_path_factory, story_specs):
 
 
 
-def _race_first_writes(run_dir: Path, spelled: Path) -> list[BaseException]:
-    """Eight threads, half naming `run_dir` as `spelled`, start together and
-    each write one file 50 times; returns what they raised."""
+def test_concurrent_writers_of_one_path_never_interfere(tmp_path):
+    """Eight threads write one file 50 times each, racing; every write completes.
+    The first write removes the temporary file a dead writer of this host left,
+    and leaves those of a running writer, of a pid no process can have, of
+    another host and of another file."""
+    dead = subprocess.Popen([sys.executable, "-c", "pass"])
+    dead.wait()
+    host = socket.gethostname()
+    left = [f"out.json.{host}.{dead.pid}.1.tmp", f"out.json.{host}.{os.getppid()}.1.tmp",
+            f"out.json.{host}.{10 ** 20}.1.tmp", f"out.json.other-{host}.{dead.pid}.1.tmp",
+            f"other.json.{host}.{dead.pid}.1.tmp"]
+    for name in left:
+        (tmp_path / name).write_text("{", encoding="utf-8")
     errors: list[BaseException] = []
     start = threading.Barrier(8)
 
     def writer(k: int) -> None:
-        base = spelled if k % 2 else run_dir
         try:
             start.wait(timeout=60)
             for i in range(50):
-                write_atomic(base / f"f{k}.json", str(i))
+                write_atomic(tmp_path / "out.json", f"{k}:{i}")
         except BaseException as exc:
             errors.append(exc)
 
-    threads = [threading.Thread(target=writer, args=(k,)) for k in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=60)
-    assert not any(t.is_alive() for t in threads)
-    return errors
-
-
-def test_first_writes_into_a_directory_from_many_threads_never_interfere(tmp_path, monkeypatch):
-    """Threads whose first writes into a directory race, under two spellings
-    of its path, complete every write; the temporary file that an earlier
-    process with this pid left there is removed.  Five fresh directories, five
-    races."""
-    monkeypatch.chdir(tmp_path)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for n in range(5):
-            run_dir = tmp_path / f"run{n}"
-            run_dir.mkdir()
-            (run_dir / f"left.json.{os.getpid()}.1.tmp").write_text("{", encoding="utf-8")
-            assert _race_first_writes(run_dir, Path(f"run{n}")) == []
-            assert sorted(p.name for p in run_dir.iterdir()) == [f"f{k}.json" for k in range(8)]
-            assert {(run_dir / f"f{k}.json").read_text(encoding="utf-8") for k in range(8)} == {"49"}
+        threads = [threading.Thread(target=writer, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and errors == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["out.json", *left[1:]])
+    assert (tmp_path / "out.json").read_text(encoding="utf-8").endswith(":49")
 
 
 # -- candidates --
