@@ -23,13 +23,12 @@ from typing import Any, Callable, Iterable, Sequence
 
 from . import corpus as corpus_mod
 from . import metrics, report, ruler, translate, verse
-from .corpus import VERSE_CHANNEL, CandidateSet, Corpus, ParagraphPair, SampleManifest
+from .corpus import CHANNEL_SCALES, CandidateSet, Corpus, ParagraphPair, SampleManifest
 from .errors import (CorpusFormatError, EmptyRun, EvalError, MixedFingerprint,
                      UnclassifiedQuestion)
-from .judge import BACKEND_DEFAULT, Judge, JudgeConfig
+from .judge import BACKEND_DEFAULT, BACKENDS, Judge, JudgeConfig
 from .metrics import RatingVector
 from .ruler import ItemFailure, PromptOptions, split_failures
-from .scales import RULER_SCALE, VERSE_SCALE
 
 log = logging.getLogger(__name__)
 
@@ -133,7 +132,10 @@ class RunContext:
             cache_dir=cache_dir,
             concurrency_limit=args.jobs,
         )
-        return Judge(config)
+        try:
+            return Judge(config)
+        except ValueError as exc:  # main checks every other flag that Judge tests
+            raise EvalError(f"--endpoint is not usable by the live backend: {exc}") from None
 
     def options(self) -> PromptOptions:
         args = self.args
@@ -150,10 +152,9 @@ class RunContext:
             return ruler.load_rubric(self.args.rubric)
         return ruler.bundled_rubric()
 
-    def meta(self, judge: Judge | None = None, options: PromptOptions | None = None) -> dict:
-        meta: dict[str, Any] = {"fingerprint": self.fingerprint, "run_id": self.run_id}
-        if judge is not None:
-            meta["model_id"] = judge.config.model_id
+    def meta(self, judge: Judge, options: PromptOptions | None = None) -> dict:
+        meta: dict[str, Any] = {"fingerprint": self.fingerprint, "run_id": self.run_id,
+                                "model_id": judge.config.model_id}
         if options is not None:
             meta["options"] = options.fingerprint()
         return meta
@@ -409,9 +410,7 @@ def _vectors_by_channel(
         raters = []
         for rater_id in sorted(scores[channel]):
             rated = scores[channel][rater_id]
-            ids = tuple(sorted(rated))
-            raters.append(
-                RatingVector(ids=ids, scores=tuple(rated[i] for i in ids), rater_id=rater_id))
+            raters.append(RatingVector(dict(sorted(rated.items())), rater_id))
         out[channel] = raters
     return out
 
@@ -430,11 +429,11 @@ def cmd_agree(ctx: RunContext) -> int:
 
     agreement_reports: dict[str, metrics.AgreementReport] = {}
     for channel, raters in human.items():
-        scale = VERSE_SCALE if channel == VERSE_CHANNEL else RULER_SCALE
+        scale = CHANNEL_SCALES[channel]
         label_set = list(range(scale.min, scale.max + 1))
         # align each rater pair once; every statistic below reuses the alignment
         pairs = list(metrics.rater_pairs(raters))
-        agreement = metrics.compute_agreement(raters, level=level, pairs=pairs)
+        agreement = metrics.compute_agreement(raters, pairs, level=level)
         agreement_reports[channel] = agreement
         payload: dict[str, Any] = {
             "fingerprint": ctx.fingerprint,
@@ -589,7 +588,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--questions", help="question bank file")
     parser.add_argument("--manifest", help="sample manifest restricting items")
     parser.add_argument("--shots-bank", help="worked-example bank for k-shot prompts")
-    parser.add_argument("--backend", choices=["live", "mock"], default="mock")
+    parser.add_argument("--backend", choices=list(BACKENDS), default="mock")
     parser.add_argument("--model", default="mock-judge")
     parser.add_argument("--endpoint", help="chat-completions URL for the live backend")
     parser.add_argument("--api-key-env", default="JUDGE_API_KEY")

@@ -34,9 +34,10 @@ from .scales import RULER_SCALE, VERSE_SCALE, ScoreScale
 
 log = logging.getLogger(__name__)
 
-RULER_CHANNELS = ("honorifics", "lexical", "syntax", "content")
 VERSE_CHANNEL = "verse"
-CHANNELS = RULER_CHANNELS + (VERSE_CHANNEL,)
+# the score scale of each annotation channel: the four RULER criteria, then VERSE
+CHANNEL_SCALES = {"honorifics": RULER_SCALE, "lexical": RULER_SCALE, "syntax": RULER_SCALE,
+                  "content": RULER_SCALE, VERSE_CHANNEL: VERSE_SCALE}
 
 
 @dataclass(frozen=True)
@@ -363,10 +364,9 @@ def _annotation(record: dict, corpus: Corpus, where: str) -> tuple[str, str, str
     """The record's checked (channel, rater_id, item_id, score)."""
     rater_id = _identifier(record, "rater_id", where)
     channel = _require(record, "channel", where)
-    if channel not in CHANNELS:
+    if not isinstance(channel, str) or channel not in CHANNEL_SCALES:
         raise CorpusFormatError(f"{where}: unknown channel {channel!r}")
-    scale = VERSE_SCALE if channel == VERSE_CHANNEL else RULER_SCALE
-    score = _score(_require(record, "score", where), scale, where)
+    score = _score(_require(record, "score", where), CHANNEL_SCALES[channel], where)
     system_id = _identifier(record, "system_id", where)
     if channel == VERSE_CHANNEL:
         item_id = f"{_identifier(record, 'question_id', where)}::{system_id}"
@@ -391,10 +391,10 @@ def load_annotations(path: Path | str, corpus: Corpus) -> dict[str, dict[str, di
         get = record.get
         rater_id, channel, score, system_id = (
             get("rater_id"), get("channel"), get("score"), get("system_id"))
-        scale = VERSE_SCALE if channel == VERSE_CHANNEL else RULER_SCALE
+        scale = CHANNEL_SCALES.get(channel) if type(channel) is str else None
         item_id = None
         if (type(rater_id) is str and rater_id and type(system_id) is str and system_id
-                and channel in CHANNELS and type(score) is int
+                and scale is not None and type(score) is int
                 and scale.min <= score <= scale.max):
             if channel == VERSE_CHANNEL:
                 question_id = get("question_id")

@@ -77,8 +77,6 @@ class OutOfRange(EvalError):
     def __init__(self, value: int, lo: int, hi: int):
         super().__init__(f"score {value} outside allowed range {lo}..{hi}")
         self.value = value
-        self.lo = lo
-        self.hi = hi
 
 
 # -- prompt assembly --

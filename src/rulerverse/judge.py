@@ -16,6 +16,7 @@ import random
 import re
 import threading
 import time
+import urllib.parse
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -81,6 +82,8 @@ class JudgeConfig:
             raise ValueError("concurrency_limit must be >= 1")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
+        if self.cache_dir is None:
+            raise ValueError("cache_dir is required: every judge keeps a completion cache")
 
 
 def cache_key(model_id: str, temperature: float | None, system_text: str, user_text: str,
@@ -224,18 +227,14 @@ class CompletionLog:
             self._end = end
 
 
-def _connect(endpoint: str, timeout: float) -> tuple[Any, str, dict[str, str]]:
-    """A new, unopened connection for `endpoint`, with the request target and extra
-    headers to send on it, through the proxy that urllib would pick for it."""
+def _connect(url: urllib.parse.SplitResult, timeout: float) -> tuple[Any, str, dict[str, str]]:
+    """A new, unopened connection for the endpoint `url`, with the request target and
+    extra headers to send on it, through the proxy that urllib would pick for it."""
     import base64  # only the live transport needs these
     import http.client
     import ssl
-    import urllib.parse
     import urllib.request
 
-    url = urllib.parse.urlsplit(endpoint)
-    if url.scheme not in ("http", "https") or not url.hostname:
-        raise ValueError(f"endpoint must be an http or https URL, got {endpoint!r}")
     host, port, tls = url.hostname, url.port, url.scheme == "https"
     target = (url.path or "/") + (f"?{url.query}" if url.query else "")
     headers: dict[str, str] = {}
@@ -267,7 +266,7 @@ def _close_all(idle: list) -> None:
 
 
 class Judge:
-    """Thread-safe completion client; share one instance across workers."""
+    """Thread-safe completion client that always caches; share one instance across workers."""
 
     def __init__(self, config: JudgeConfig):
         self.config = config
@@ -275,14 +274,17 @@ class Judge:
         self._lock = threading.Lock()
         # cache key -> set when the one backend call for that key has ended
         self._flights: dict[str, threading.Event] = {}
-        self._sem = threading.Semaphore(config.concurrency_limit)
         self._script: MockScript | None = None
         if config.backend == "mock":
             if config.script_path is None:
                 raise ValueError("mock backend requires script_path")
             self._script = MockScript.load(config.script_path)
-        self._log = None if config.cache_dir is None else CompletionLog(config.cache_dir)
-        # idle kept-alive (connection, target, headers); at most one per concurrency slot
+        else:  # the endpoint is checked once, before any item runs
+            self._url = url = urllib.parse.urlsplit(config.endpoint)
+            if url.scheme not in ("http", "https") or not url.hostname:
+                raise ValueError(f"endpoint must be an http or https URL, got {config.endpoint!r}")
+        self._log = CompletionLog(config.cache_dir)
+        # idle kept-alive (connection, target, headers); at most one per thread of `map`
         self._idle: list[tuple[Any, str, dict[str, str]]] = []
         weakref.finalize(self, _close_all, self._idle)  # they live as long as the judge
 
@@ -290,8 +292,8 @@ class Judge:
         """`work(item)` for every item, once, with outcomes in input order.
 
         A mock judge runs the items one by one in the calling thread.  A live
-        judge runs them on a pool of `concurrency_limit` threads, so that that
-        many calls can wait on the backend at once, over at most that many
+        judge runs them on a pool of `concurrency_limit` threads, the only limit
+        on how many calls wait on the backend at once, over at most that many
         kept-alive connections, which later calls of `map` reuse.
         """
         if self._script is not None:
@@ -313,7 +315,7 @@ class Judge:
         Single flight: while one thread calls the backend for a cache key,
         other threads that miss the same key wait for it and then read its
         answer from the cache, as a hit.  If it failed, one of them calls the
-        backend in turn.  Without a cache every caller calls the backend.
+        backend in turn.
         """
         temperature = request.temperature
         if temperature is None:
@@ -332,7 +334,7 @@ class Judge:
                     return JudgeResponse(text=cached_text, cached=True)
                 # a new flight reads the cache once more after it is registered: a flight
                 # that ended just before has written its answer, other processes theirs
-                if flight is not None or self._log is None:
+                if flight is not None:
                     break
                 with self._lock:
                     leader = self._flights.get(key)
@@ -363,15 +365,13 @@ class Judge:
 
     def _cache_read(self, key: str) -> str | None:
         try:
-            entry = None if self._log is None else self._log.get(key)
+            entry = self._log.get(key)
             return None if entry is None else entry["response"]["text"]
         except (ValueError, LookupError, TypeError, OSError):
             log.warning("unreadable cache entry %s, treating as miss", key)
             return None
 
     def _cache_write(self, key: str, request: JudgeRequest, temperature: float | None, text: str) -> None:
-        if self._log is None:
-            return
         entry = {"request": {"model_id": self.config.model_id, "temperature": temperature,
                              "system_text": request.system_text, "user_text": request.user_text},
                  "response": {"text": text}}
@@ -400,7 +400,7 @@ class Judge:
             with self._lock:
                 idle = self._idle.pop() if reused and self._idle else None
             reused = idle is not None
-            conn, target, extra = idle or _connect(self.config.endpoint, self.config.timeout)
+            conn, target, extra = idle or _connect(self._url, self.config.timeout)
             try:
                 try:
                     conn.request("POST", target, body, {**headers, **extra})
@@ -444,7 +444,7 @@ class Judge:
         """Retries connection errors, timeouts, 429 and 5xx; fails at once on
         anything else.  The backoff is full jitter, a uniform draw from
         [0, 2 ** attempt) seconds (Brooker 2015), or the answer's Retry-After up
-        to RETRY_AFTER_MAX_S; backoff sleeps hold no concurrency slot."""
+        to RETRY_AFTER_MAX_S."""
         messages = [{"role": "system", "content": system_text}, {"role": "user", "content": user_text}]
         payload: dict[str, Any] = {"model": self.config.model_id, "messages": messages}
         if temperature is not None:
@@ -453,8 +453,7 @@ class Judge:
         for attempt in range(attempts):
             delay = None
             try:
-                with self._sem:
-                    return self._post(payload)
+                return self._post(payload)
             except BackendResponseError as exc:
                 if not exc.transient:
                     raise

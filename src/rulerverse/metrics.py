@@ -29,32 +29,20 @@ Number = int | float
 
 @dataclass(frozen=True)
 class RatingVector:
-    """One rater's scores over named items.
+    """One rater's scores by item id; an item the rater skipped is absent.
 
-    `ids` must be unique.  A None score marks an item the rater skipped.  The
-    paired statistics below take two fully observed score lists of equal
+    The paired statistics below take two fully observed score lists of equal
     length; `common_items` (or `rater_pairs`) aligns two raters into them.
     """
 
-    ids: tuple[str, ...]
-    scores: tuple[Number | None, ...]
+    scores: dict[str, Number]
     rater_id: str = ""
-
-    def __post_init__(self):
-        if len(self.ids) != len(self.scores):
-            raise LengthMismatch(
-                f"{len(self.ids)} ids vs {len(self.scores)} scores"
-            )
-        if len(set(self.ids)) != len(self.ids):
-            raise LengthMismatch("item ids must be unique")
 
     def common_items(self, other: "RatingVector") -> tuple[list[Number], list[Number]]:
         """Scores of both raters over the sorted intersection of rated items."""
-        theirs = {i: s for i, s in zip(other.ids, other.scores) if s is not None}
-        mine = {i: s for i, s in zip(self.ids, self.scores) if s is not None and i in theirs}
-        # `mine` keeps the order of `self.ids`: when that is sorted, as `agree`
-        # builds it, the sort is one linear pass
-        shared = sorted(mine)
+        mine, theirs = self.scores, other.scores
+        # when `mine` is in sorted order, as `agree` builds it, the sort is one linear pass
+        shared = sorted([i for i in mine if i in theirs])
         return [mine[i] for i in shared], [theirs[i] for i in shared]
 
 
@@ -273,7 +261,6 @@ def krippendorff_alpha(
 
 @dataclass(frozen=True)
 class LabelStats:
-    label: object
     precision: float
     recall: float
     f1: float
@@ -328,7 +315,7 @@ def per_label_prf(gold: Sequence, pred: Sequence, label_set: Sequence) -> Classi
         else:
             f1 = 0.0
         per_label[label] = LabelStats(
-            label=label, precision=precision, recall=recall, f1=f1,
+            precision=precision, recall=recall, f1=f1,
             support=tp + fn, zero_division=zero,
         )
 
@@ -393,25 +380,17 @@ class AgreementReport:
 
 def rating_matrix(raters: Sequence[RatingVector]) -> list[list[Number | None]]:
     """Raters x items matrix over the union of item ids (sorted), None = unrated."""
-    all_ids = sorted({i for r in raters for i in r.ids})
-    matrix = []
-    for r in raters:
-        by_id = dict(zip(r.ids, r.scores))
-        matrix.append([by_id.get(i) for i in all_ids])
-    return matrix
+    all_ids = sorted({i for r in raters for i in r.scores})
+    return [[r.scores.get(i) for i in all_ids] for r in raters]
 
 
 def compute_agreement(
     raters: Sequence[RatingVector],
+    pairs: Sequence[AlignedPair],
     level: str = "ordinal",
-    pairs: Sequence[AlignedPair] | None = None,
 ) -> AgreementReport:
-    """Full agreement report for one score channel between two or more raters.
-
-    `pairs` is `list(rater_pairs(raters))` when the caller already has it.
-    """
-    if pairs is None:
-        pairs = list(rater_pairs(raters))
+    """Full agreement report for one score channel between two or more raters;
+    `pairs` is `list(rater_pairs(raters))`."""
     tau, tau_skipped = mean_over_pairs(pairs, kendall_tau_b)
     rho, rho_skipped = mean_over_pairs(pairs, spearman_rho)
     mse_mean, mse_skipped = mean_over_pairs(pairs, mse)
@@ -420,7 +399,7 @@ def compute_agreement(
         rho=rho,
         mse=mse_mean,
         alpha=krippendorff_alpha(rating_matrix(raters), level=level),
-        n_items=len({i for r in raters for i in r.ids}),
+        n_items=len({i for r in raters for i in r.scores}),
         n_raters=len(raters),
         skipped_pairs={"tau": tau_skipped, "rho": rho_skipped, "mse": mse_skipped},
     )

@@ -19,7 +19,6 @@ def fixture_corpus() -> Corpus:
 def make_judge(
     tmp_path: Path,
     script: Path | str | dict = FIXTURES / "mock_script.json",
-    cache: bool = True,
     **overrides,
 ) -> Judge:
     """Mock judge wired to a script file, dict, or path, caching under tmp_path."""
@@ -33,7 +32,7 @@ def make_judge(
         backend="mock",
         model_id=overrides.pop("model_id", "mock-judge"),
         script_path=script_path,
-        cache_dir=tmp_path / "cache" if cache else None,
+        cache_dir=tmp_path / "cache",
         **overrides,
     )
     return Judge(config)

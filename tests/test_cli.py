@@ -521,6 +521,21 @@ def test_mock_backend_without_script_is_an_eval_error(tmp_path, capsys):
     }
 
 
+@pytest.mark.parametrize("endpoint", [None, "", "judge.example/v1", "ftp://judge.example/v1",
+                                      "http://"])
+def test_live_backend_without_a_usable_endpoint_is_an_eval_error(tmp_path, capsys, endpoint):
+    flags = common_flags(tmp_path) + ["--max-retries", "0"]
+    flags[flags.index("--backend") + 1] = "live"
+    if endpoint is not None:
+        flags += ["--endpoint", endpoint]
+    assert main(["ruler"] + flags) == 1
+    assert _error_payload(capsys) == {
+        "error": "EvalError", "message": "--endpoint is not usable by the live backend: "
+        f"endpoint must be an http or https URL, got {endpoint or ''!r}"
+    }
+    assert not (tmp_path / "out").exists()  # no item ran, and nothing was written
+
+
 def _rubric_with_level_named_one() -> str:
     rubric = json.loads(
         resources.files("rulerverse").joinpath("data/rubric_en.json").read_text("utf-8")
@@ -910,6 +925,7 @@ def _run_stages(tmp_path: Path, jobs: int, live: bool = False) -> tuple[Path, di
     flags = common_flags(tmp_path) + ["--jobs", str(jobs)]
     if live:
         flags[flags.index("--backend") + 1] = "live"
+        flags += ["--endpoint", "http://judge.invalid/v1/chat/completions"]
     for stage, argv in STAGES.items():
         assert main(argv + flags) == 0, stage
     run_dir = tmp_path / "out" / "run1"

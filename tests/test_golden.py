@@ -14,6 +14,8 @@ import random
 import shutil
 from pathlib import Path
 
+import pytest
+
 from conftest import FIXTURES, cache_entries, write_synthetic_corpus
 from rulerverse.cli import main
 from rulerverse.judge import cache_key
@@ -89,6 +91,12 @@ def test_option_fingerprints():
 # from the code as it stood before the statistics moved to per-pair count tables
 AGREE_FIXTURES = (25, "78ed04d10cc15a6a704233e220b04735faf194618eb2c470375ea013ae639416")
 AGREE_LIKERT = (22, "820d949ac170dd87f5f5866eac5fb7f8653e6954954ae8d4dd9684e5bbdb771b")
+# the same input at alpha's other two levels; taken from the code as it stood
+# before a rater's scores became one dict
+AGREE_LIKERT_AT = {
+    "nominal": (22, "7a0d603b08f61bdf5b997187427d958b9edadc6ae98f3771f3222334b211ff25"),
+    "interval": (22, "f5e13e27e261e6e255089b402be50f7055b29ddba31f67f2a671800c99fa491c"),
+}
 
 
 def _run_digest(run_dir: Path) -> tuple[int, str]:
@@ -98,14 +106,15 @@ def _run_digest(run_dir: Path) -> tuple[int, str]:
     return len(lines), hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
 
-def _agree_run(tmp_path: Path, monkeypatch, annotations: list[dict], model: list[dict]):
+def _agree_run(tmp_path: Path, monkeypatch, annotations: list[dict], model: list[dict],
+               *flags: str):
     """`agree` from tmp_path with relative paths, so the fingerprint, and with
     it every artifact, does not depend on where the test runs."""
     monkeypatch.chdir(tmp_path)
     for name, rows in (("annotations.jsonl", annotations), ("model.jsonl", model)):
         Path(name).write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
     argv = ["agree", "--corpus", "corpus.jsonl", "--annotations", "annotations.jsonl",
-            "--model-annotations", "model.jsonl", "--run-id", "golden"]
+            "--model-annotations", "model.jsonl", "--run-id", "golden", *flags]
     assert main(argv) == 0
     return _run_digest(Path("out", "golden"))
 
@@ -124,7 +133,7 @@ def _likert(rng: random.Random, truth: int, top: int, spread: int) -> int:
     return min(top, max(1, truth + rng.randint(-spread, spread)))
 
 
-def test_agree_artifacts_on_a_seeded_likert_input(tmp_path, monkeypatch):
+def _likert_input(tmp_path: Path) -> tuple[list[dict], list[dict]]:
     """2,000 items per rater on a RULER channel and on VERSE: three humans, two
     models and heavy ties; the last human skips about one item in twenty."""
     write_synthetic_corpus(tmp_path / "corpus.jsonl", 20, 25)
@@ -144,7 +153,19 @@ def test_agree_artifacts_on_a_seeded_likert_input(tmp_path, monkeypatch):
             rows.append({"rater_id": rater, "channel": "verse", "question_id": f"q{n:04d}",
                          "system_id": system_id,
                          "score": _likert(rng, (truth + 1) // 2, 3, spread // 2)})
+    return humans, model
+
+
+def test_agree_artifacts_on_a_seeded_likert_input(tmp_path, monkeypatch):
+    humans, model = _likert_input(tmp_path)
     assert _agree_run(tmp_path, monkeypatch, humans, model) == AGREE_LIKERT
+
+
+@pytest.mark.parametrize("level", sorted(AGREE_LIKERT_AT))
+def test_agree_artifacts_at_the_other_alpha_levels(tmp_path, monkeypatch, level):
+    humans, model = _likert_input(tmp_path)
+    digest = _agree_run(tmp_path, monkeypatch, humans, model, "--level", level)
+    assert digest == AGREE_LIKERT_AT[level]
 
 
 # _run_digest of a run directory after translate, ruler, verse gen, classify and

@@ -129,11 +129,12 @@ def test_caching_is_transparent(tmp_path):
         JudgeRequest("s", "rate the honorifics"),
         JudgeRequest("s", "whatever"),
     ]
-    cached = make_judge(tmp_path, script=SCRIPT, cache=True)
-    uncached = make_judge(tmp_path, script=SCRIPT, cache=False)
+    cached = make_judge(tmp_path, script=SCRIPT)
+    script = MockScript.load(tmp_path / "script.json")
     assert [cached.complete(r).text for r in requests] == [
-        uncached.complete(r).text for r in requests
+        script.respond(r.system_text, r.user_text) for r in requests
     ]
+    assert cached.stats == {"backend_calls": 3, "cache_hits": 1}
 
 
 def test_corrupt_cache_entry_is_a_miss(tmp_path):
@@ -171,13 +172,18 @@ def test_empty_completion_fails_hard(tmp_path):
         judge.complete(JudgeRequest("s", "u"))
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
+def test_config_validation(tmp_path):
+    with pytest.raises(ValueError, match="backend"):
         JudgeConfig(backend="other")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="concurrency_limit"):
         JudgeConfig(concurrency_limit=0)
-    with pytest.raises(ValueError):
-        Judge(JudgeConfig(backend="mock", script_path=None))
+    with pytest.raises(ValueError, match="script_path"):
+        Judge(JudgeConfig(backend="mock", script_path=None, cache_dir=tmp_path / "cache"))
+
+
+def test_a_judge_without_a_cache_directory_is_refused():
+    with pytest.raises(ValueError, match="cache_dir"):
+        JudgeConfig(backend="mock", script_path=FIXTURES / "mock_script.json")
 
 
 class _FlakyLive(Judge):
@@ -288,19 +294,14 @@ class _StatusLive(Judge):
         super().__init__(config)
         self.status = status
         self.attempts = 0
-        self.free_during_sleep = []
+        self.slept = []
 
     def _post(self, payload):
         self.attempts += 1
         raise BackendResponseError(self.status, "scripted")
 
     def _sleep(self, seconds):
-        # every slot must be free: a backoff holds no concurrency slot
-        n = self.config.concurrency_limit
-        taken = sum(self._sem.acquire(blocking=False) for _ in range(n))
-        for _ in range(taken):
-            self._sem.release()
-        self.free_during_sleep.append(taken == n)
+        self.slept.append(seconds)
 
 
 @pytest.mark.parametrize("status", [400, 401, 403, 404, 422])
@@ -318,7 +319,7 @@ def test_live_transient_statuses_are_retried(tmp_path, status):
     with pytest.raises(TransportExhausted, match=f"HTTP {status}"):
         judge.complete(JudgeRequest("s", "u"))
     assert judge.attempts == 4
-    assert judge.free_during_sleep == [True, True, True]
+    assert len(judge.slept) == 3
 
 
 def test_live_unexpected_error_is_not_retried(tmp_path):
@@ -496,7 +497,8 @@ def test_live_transport_needs_no_third_party_package(tmp_path, stub):
     code = (
         "import sys; sys.modules['requests'] = None\n"
         "from rulerverse.judge import Judge, JudgeConfig, JudgeRequest\n"
-        f"judge = Judge(JudgeConfig(backend='live', model_id='m', endpoint={_stub_url(stub)!r}))\n"
+        f"judge = Judge(JudgeConfig(backend='live', model_id='m', endpoint={_stub_url(stub)!r},\n"
+        f"                          cache_dir={str(tmp_path / 'cache')!r}))\n"
         "print(judge.complete(JudgeRequest('s', 'u')).text)\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

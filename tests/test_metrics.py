@@ -245,7 +245,8 @@ def test_confusion_marginals():
 # -- pairwise aggregation --
 
 def _vec(rater, ids, scores):
-    return RatingVector(ids=tuple(ids), scores=tuple(scores), rater_id=rater)
+    """A rater's vector; a None score leaves its item out, as one the rater skipped."""
+    return RatingVector({i: s for i, s in zip(ids, scores) if s is not None}, rater)
 
 
 def test_pairwise_identity_raters():
@@ -308,7 +309,7 @@ def test_compute_agreement_report_fields():
         _vec("r2", "abcde", [1, 2, 3, 4, 5]),
         _vec("r3", "abcde", [2, 2, 3, 4, 5]),
     ]
-    report = compute_agreement(raters, level="ordinal")
+    report = compute_agreement(raters, list(rater_pairs(raters)), level="ordinal")
     assert report.n_raters == 3
     assert report.n_items == 5
     assert report.mse == pytest.approx((0.0 + 0.2 + 0.2) / 3, abs=APPROX)
