@@ -15,6 +15,7 @@ import functools
 import hashlib
 import json
 import logging
+import math
 import re
 import sys
 from dataclasses import asdict
@@ -39,8 +40,6 @@ def config_fingerprint(args: argparse.Namespace) -> str:
         value = getattr(args, name, None)
         if isinstance(value, list):
             value = sorted(str(v) for v in value)
-        elif isinstance(value, Path):
-            value = str(value)
         payload[name] = value
     blob = json.dumps(payload, sort_keys=True, ensure_ascii=False)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -72,7 +71,7 @@ def read_artifact(path: Path, parse: Callable[[dict, str], Any]) -> tuple[dict, 
 
 def write_json(path: Path, payload: dict) -> None:
     corpus_mod.write_atomic(
-        path, json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
+        path, json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2, allow_nan=False) + "\n"
     )
 
 
@@ -115,7 +114,8 @@ class RunContext:
         return [x for x in items if (x.story_id, x.index) in keys and (
             not qids or x.question_id in qids)]
 
-    def judge(self) -> Judge:
+    def judge(self, backend_temperature: bool = False) -> Judge:
+        """The run's judge; with `backend_temperature` it sends no temperature."""
         args = self.args
         if args.backend == "mock" and not args.script:
             raise EvalError("--script is required for the mock backend")
@@ -126,7 +126,7 @@ class RunContext:
             endpoint=args.endpoint or "",
             api_key_env=args.api_key_env,
             script_path=args.script,
-            temperature=args.temperature,
+            temperature=None if backend_temperature else args.temperature,
             max_retries=args.max_retries,
             timeout=args.timeout,
             cache_dir=cache_dir,
@@ -152,9 +152,13 @@ class RunContext:
             return ruler.load_rubric(self.args.rubric)
         return ruler.bundled_rubric()
 
-    def meta(self, judge: Judge, options: PromptOptions | None = None) -> dict:
+    def artifact(self, given: str | None, name: str) -> Path:
+        """The path a flag gives, else the run directory's file `name`."""
+        return Path(given) if given else self.out_dir / name
+
+    def meta(self, options: PromptOptions | None = None) -> dict:
         meta: dict[str, Any] = {"fingerprint": self.fingerprint, "run_id": self.run_id,
-                                "model_id": judge.config.model_id}
+                                "model_id": self.args.model}
         if options is not None:
             meta["options"] = options.fingerprint()
         return meta
@@ -238,8 +242,8 @@ def cmd_translate(ctx: RunContext) -> int:
         bank_story_ids=tuple(ctx.args.bank_stories or ()),
         require_dialogue_mix=not ctx.args.no_dialogue_mix,
     )
-    judge = ctx.judge()
-    system_id = ctx.args.system_id or judge.config.model_id
+    judge = ctx.judge(backend_temperature=True)
+    system_id = ctx.args.system_id or ctx.args.model
     pairs = list(corpus.pairs())
 
     def work(pair: ParagraphPair):
@@ -249,7 +253,7 @@ def cmd_translate(ctx: RunContext) -> int:
             return ItemFailure.of(exc, "translate", pair.story_id, pair.index, system_id)
 
     done, failures = split_failures(judge.map(work, pairs))
-    provenance = {"fingerprint": ctx.fingerprint, "model_id": judge.config.model_id,
+    provenance = {"fingerprint": ctx.fingerprint, "model_id": ctx.args.model,
                   "spec_fingerprint": spec.fingerprint(), "temperature": BACKEND_DEFAULT}
     out_path = ctx.out_dir / f"candidates_{_sanitize(system_id)}.jsonl"
     corpus_mod.save_candidates(CandidateSet(system_id, dict(done), provenance), out_path)
@@ -281,10 +285,10 @@ def cmd_ruler(ctx: RunContext) -> int:
     cards, failures = split_failures(judge.map(work, items))
     options_fp = options.fingerprint()
     records = [
-        ruler.scorecard_to_record(card, options_fp, judge.config.model_id)
+        ruler.scorecard_to_record(card, options_fp, ctx.args.model)
         for card in sorted(cards, key=lambda c: (c.system_id, c.story_id, c.index))
     ]
-    write_artifact(ctx.out_dir / "scorecards.jsonl", ctx.meta(judge, options), records)
+    write_artifact(ctx.out_dir / "scorecards.jsonl", ctx.meta(options), records)
     audit = ruler.audit_honorifics(cards, corpus)
     write_json(
         ctx.out_dir / "honorifics_audit.json",
@@ -311,7 +315,7 @@ def cmd_verse_gen(ctx: RunContext) -> int:
     questions.sort(key=lambda q: (q.story_id, q.index, q.question_id))
     write_artifact(
         ctx.out_dir / "questions.jsonl",
-        ctx.meta(judge),
+        ctx.meta(),
         [verse.question_to_record(q) for q in questions],
     )
     ctx.write_summary(
@@ -320,14 +324,8 @@ def cmd_verse_gen(ctx: RunContext) -> int:
     return 0
 
 
-def _questions_path(ctx: RunContext) -> Path:
-    if ctx.args.questions:
-        return Path(ctx.args.questions)
-    return ctx.out_dir / "questions.jsonl"
-
-
 def cmd_verse_classify(ctx: RunContext) -> int:
-    path = _questions_path(ctx)
+    path = ctx.artifact(ctx.args.questions, "questions.jsonl")
     meta, questions = read_artifact(path, verse.question_from_record)
     judge = ctx.judge()
 
@@ -344,7 +342,7 @@ def cmd_verse_classify(ctx: RunContext) -> int:
 
     _, failures = split_failures(judge.map(work, questions))
     # a question that failed keeps category null, so a rerun retries only it
-    meta = meta or ctx.meta(judge)
+    meta = meta or ctx.meta()
     write_artifact(path, meta, [verse.question_to_record(q) for q in questions])
     # the summary speaks for the questions it classified, under their fingerprint
     ctx.write_summary(
@@ -358,7 +356,8 @@ def cmd_verse_classify(ctx: RunContext) -> int:
 def cmd_verse_grade(ctx: RunContext) -> int:
     corpus = ctx.load_corpus()
     candidate_sets = ctx.load_candidates(corpus)
-    _, questions = read_artifact(_questions_path(ctx), verse.question_from_record)
+    _, questions = read_artifact(ctx.artifact(ctx.args.questions, "questions.jsonl"),
+                                 verse.question_from_record)
     unclassified = [q.question_id for q in questions if q.category is None]
     if unclassified:
         raise UnclassifiedQuestion(
@@ -393,8 +392,8 @@ def cmd_verse_grade(ctx: RunContext) -> int:
     options_fp = options.fingerprint()
     write_artifact(
         ctx.out_dir / "grades.jsonl",
-        ctx.meta(judge, options),
-        [verse.grade_to_record(g, options_fp, judge.config.model_id) for g in grades],
+        ctx.meta(options),
+        [verse.grade_to_record(g, options_fp, ctx.args.model) for g in grades],
     )
     ctx.write_summary(
         "verse_grade", judge, len(jobs), failures, extra={"grades": len(grades)}
@@ -494,9 +493,9 @@ def _radar_series(table: report.AggregateTable, axis_min: float) -> list[tuple[s
 
 
 def cmd_report(ctx: RunContext) -> int:
-    scorecards_path = Path(ctx.args.scorecards) if ctx.args.scorecards else ctx.out_dir / "scorecards.jsonl"
-    grades_path = Path(ctx.args.grades) if ctx.args.grades else ctx.out_dir / "grades.jsonl"
-    questions_path = _questions_path(ctx)
+    scorecards_path = ctx.artifact(ctx.args.scorecards, "scorecards.jsonl")
+    grades_path = ctx.artifact(ctx.args.grades, "grades.jsonl")
+    questions_path = ctx.artifact(ctx.args.questions, "questions.jsonl")
 
     metas: dict[str, dict] = {}
     scorecards: list[ruler.RubricScorecard] = []
@@ -703,7 +702,8 @@ FLAG_RANGES = [
     *((name, f"an integer >= {low}", lambda v, low=low: v >= low)
       for name, low in (("jobs", 1), ("max_retries", 0), ("reference_index", 0),
                         ("n_questions", 1), ("shots", 0), ("n_per_story", 1), ("q_per_item", 0))),
-    ("timeout", "a number > 0", lambda v: v > 0),
+    ("timeout", "a finite number > 0", lambda v: 0 < v < math.inf),
+    ("temperature", "a finite number", math.isfinite),
     ("axis_min", "a number in [0, 100)", lambda v: 0 <= v < 100),
 ]
 

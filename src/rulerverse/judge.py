@@ -31,7 +31,8 @@ log = logging.getLogger(__name__)
 
 BACKENDS = ("live", "mock")
 
-# A request temperature that sends none, so the backend samples at its own default.
+# How provenance records a temperature of None: none is sent, so the backend
+# samples at its own default.
 BACKEND_DEFAULT = "backend-default"
 
 # The longest wait that a Retry-After answer can impose before a retry.
@@ -40,20 +41,16 @@ RETRY_AFTER_MAX_S = 60.0
 
 @dataclass(frozen=True)
 class JudgeRequest:
+    """The prompt of one completion; the judge's config sets its temperature."""
+
     system_text: str
     user_text: str
-    # None defers to the config temperature; the config itself may be None,
-    # which also means BACKEND_DEFAULT.
-    temperature: float | str | None = None
 
     @classmethod
-    def render(
-        cls, system_text: str, sections: Iterable[tuple[str, str]],
-        temperature: float | str | None = None,
-    ) -> "JudgeRequest":
+    def render(cls, system_text: str, sections: Iterable[tuple[str, str]]) -> "JudgeRequest":
         """A request whose user text is the `### name` sections, blank-line separated."""
         user_text = "\n\n".join(f"### {name}\n{body}" for name, body in sections)
-        return cls(system_text, user_text, temperature)
+        return cls(system_text, user_text)
 
 
 @dataclass(frozen=True)
@@ -283,6 +280,7 @@ class Judge:
             self._url = url = urllib.parse.urlsplit(config.endpoint)
             if url.scheme not in ("http", "https") or not url.hostname:
                 raise ValueError(f"endpoint must be an http or https URL, got {config.endpoint!r}")
+            url.port  # ValueError for a port that is not a number in [0, 65535]
         self._log = CompletionLog(config.cache_dir)
         # idle kept-alive (connection, target, headers); at most one per thread of `map`
         self._idle: list[tuple[Any, str, dict[str, str]]] = []
@@ -315,15 +313,10 @@ class Judge:
         Single flight: while one thread calls the backend for a cache key,
         other threads that miss the same key wait for it and then read its
         answer from the cache, as a hit.  If it failed, one of them calls the
-        backend in turn.
+        backend in turn.  The temperature is the config's, None sending none.
         """
-        temperature = request.temperature
-        if temperature is None:
-            temperature = self.config.temperature
-        elif temperature == BACKEND_DEFAULT:
-            temperature = None
-        key = cache_key(self.config.model_id, temperature, request.system_text, request.user_text,
-                        self._script.digest if self._script is not None else None)
+        key = cache_key(self.config.model_id, self.config.temperature, request.system_text,
+                        request.user_text, self._script.digest if self._script is not None else None)
         flight: threading.Event | None = None
         try:
             while True:
@@ -347,13 +340,13 @@ class Judge:
             if self._script is not None:
                 text = self._script.respond(request.system_text, request.user_text)
             else:
-                text = self._live_complete(request.system_text, request.user_text, temperature)
+                text = self._live_complete(request.system_text, request.user_text)
             with self._lock:
                 self._stats["backend_calls"] += 1
             if not text.strip():
                 raise EmptyCompletion("backend returned an empty completion")
 
-            self._cache_write(key, request, temperature, text)
+            self._cache_write(key, request, text)
             return JudgeResponse(text=text, cached=False)
         finally:
             if flight is not None:
@@ -371,8 +364,8 @@ class Judge:
             log.warning("unreadable cache entry %s, treating as miss", key)
             return None
 
-    def _cache_write(self, key: str, request: JudgeRequest, temperature: float | None, text: str) -> None:
-        entry = {"request": {"model_id": self.config.model_id, "temperature": temperature,
+    def _cache_write(self, key: str, request: JudgeRequest, text: str) -> None:
+        entry = {"request": {"model_id": self.config.model_id, "temperature": self.config.temperature,
                              "system_text": request.system_text, "user_text": request.user_text},
                  "response": {"text": text}}
         with self._lock:
@@ -440,15 +433,15 @@ class Judge:
     def _sleep(self, seconds: float) -> None:
         time.sleep(seconds)
 
-    def _live_complete(self, system_text: str, user_text: str, temperature: float | None) -> str:
+    def _live_complete(self, system_text: str, user_text: str) -> str:
         """Retries connection errors, timeouts, 429 and 5xx; fails at once on
         anything else.  The backoff is full jitter, a uniform draw from
         [0, 2 ** attempt) seconds (Brooker 2015), or the answer's Retry-After up
         to RETRY_AFTER_MAX_S."""
         messages = [{"role": "system", "content": system_text}, {"role": "user", "content": user_text}]
         payload: dict[str, Any] = {"model": self.config.model_id, "messages": messages}
-        if temperature is not None:
-            payload["temperature"] = temperature
+        if self.config.temperature is not None:
+            payload["temperature"] = self.config.temperature
         attempts = self.config.max_retries + 1
         for attempt in range(attempts):
             delay = None

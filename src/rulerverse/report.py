@@ -129,9 +129,11 @@ def append_baseline_columns(table: AggregateTable, rows: Iterable[Mapping[str, s
                 continue
             try:
                 number = float(value)
+                if not math.isfinite(number):  # no JSON artifact can hold nan or inf
+                    raise ValueError
             except (TypeError, ValueError):  # TypeError: a row with more cells than the header
                 raise CorpusFormatError(
-                    f"baseline column {column!r}, system {system!r}: {value!r} is not a number"
+                    f"baseline column {column!r}, system {system!r}: {value!r} is not a finite number"
                 ) from None
             table.extra_columns.setdefault(column, {})[system] = number
 
@@ -315,12 +317,11 @@ def radar_svg(
             f'font-size="10" fill="#888888">{level:.0f}</text>'
         )
     for i, axis in enumerate(axes):
-        x, y = point(i, 100.0)
+        lx, ly = point(i, 100.0)
         parts.append(
-            f'<line x1="{cx:.2f}" y1="{cy:.2f}" x2="{x:.2f}" y2="{y:.2f}" '
+            f'<line x1="{cx:.2f}" y1="{cy:.2f}" x2="{lx:.2f}" y2="{ly:.2f}" '
             f'stroke="#cccccc" stroke-width="1"/>'
         )
-        lx, ly = point(i, 100.0)
         anchor = "middle"
         if lx > cx + 1:
             anchor = "start"

@@ -187,7 +187,7 @@ def select_shots(
     return usable[:k]
 
 
-def ruler_prompt_sections(
+def build_ruler_prompt(
     criterion: Criterion,
     pair: ParagraphPair,
     candidate_text: str,
@@ -195,7 +195,7 @@ def ruler_prompt_sections(
     summary: str,
     options: PromptOptions,
     shots: Sequence[ScoredExample] = (),
-) -> list[tuple[str, str]]:
+) -> JudgeRequest:
     """Prompt blocks in fixed order; each toggle adds or removes exactly one."""
     sections: list[tuple[str, str]] = [
         (
@@ -217,7 +217,8 @@ def ruler_prompt_sections(
             f"Example {i + 1}:\n{_format_shot(s)}" for i, s in enumerate(chosen)
         ]
         sections.append(("Worked examples", "\n\n".join(blocks)))
-    return sections + judged_sections(pair, candidate_text, options, "an integer from 1 to 5")
+    sections += judged_sections(pair, candidate_text, options, "an integer from 1 to 5")
+    return JudgeRequest.render(SYSTEM_TEXT, sections)
 
 
 def judged_sections(
@@ -238,20 +239,6 @@ def judged_sections(
         instruction = (f'Respond with a single line of the form "Score: N" where N is '
                        f"{scale_text}. Do not add any other text.")
     return sections + [("Output format", instruction)]
-
-
-def build_ruler_prompt(
-    criterion: Criterion,
-    pair: ParagraphPair,
-    candidate_text: str,
-    rubric: RubricSet,
-    summary: str,
-    options: PromptOptions,
-    shots: Sequence[ScoredExample] = (),
-) -> JudgeRequest:
-    return JudgeRequest.render(SYSTEM_TEXT, ruler_prompt_sections(
-        criterion, pair, candidate_text, rubric, summary, options, shots
-    ))
 
 
 _SCORE_LINE = re.compile(r"^\s*Score:\s*([+-]?\d+)\s*$", re.MULTILINE)

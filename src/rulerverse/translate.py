@@ -1,8 +1,8 @@
 """Candidate generation with few-shot plus story-summary prompting.
 
-Translation requests carry the `BACKEND_DEFAULT` temperature, so the backend
-samples at its own default rather than at the evaluation default of 0.0, and
-example pairs never come from the story being translated.  Sentence
+The `translate` stage's judge sends no temperature, so the backend samples at
+its own default rather than at the evaluation default of 0.0, and example
+pairs never come from the story being translated.  Sentence
 granularity exists only to diversify outputs; paragraph mode is the normal
 path.
 """
@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 from .corpus import Corpus, ParagraphPair
 from .errors import InsufficientBank
-from .judge import BACKEND_DEFAULT, Judge, JudgeRequest
+from .judge import Judge, JudgeRequest
 
 GRANULARITIES = ("paragraph", "sentence")
 
@@ -96,7 +96,7 @@ def build_translation_prompt(
         ]
         sections.append(("Examples", "\n\n".join(blocks)))
     sections.append(("Source passage", source_text))
-    return JudgeRequest.render(SYSTEM_TEXT, sections, temperature=BACKEND_DEFAULT)
+    return JudgeRequest.render(SYSTEM_TEXT, sections)
 
 
 _SENTENCE_END = re.compile(r"(?<=[.!?])\s+")

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from conftest import FIXTURES, write_synthetic_corpus
 from oracles import alpha_coincidence_oracle, rho_oracle, tau_b_oracle
 import rulerverse
-from rulerverse.cli import _add_common, build_parser, config_fingerprint, main
+from rulerverse.cli import _add_common, build_parser, config_fingerprint, main, write_json
 from rulerverse.judge import Judge, MockScript
 from rulerverse.metrics import RatingVector
 
@@ -478,7 +478,13 @@ def test_jobs_below_one_rejected(tmp_path, capsys, command, flag, value, low):
 
 
 @pytest.mark.parametrize("command, flag, value, wanted", [
-    pytest.param(["ruler"], "--timeout", "0", "a number > 0", id="timeout"),
+    pytest.param(["ruler"], "--timeout", "0", "a finite number > 0", id="timeout"),
+    pytest.param(["ruler"], "--timeout", "inf", "a finite number > 0", id="timeout-inf"),
+    pytest.param(["ruler"], "--timeout", "nan", "a finite number > 0", id="timeout-nan"),
+    pytest.param(["ruler"], "--temperature", "nan", "a finite number", id="temperature-nan"),
+    pytest.param(["ruler"], "--temperature", "inf", "a finite number", id="temperature-inf"),
+    pytest.param(["translate"], "--temperature", "nan", "a finite number",
+                 id="translate-temperature-nan"),
     pytest.param(["report"], "--axis-min", "100", "a number in [0, 100)", id="axis-min-high"),
     pytest.param(["report"], "--axis-min", "-1", "a number in [0, 100)", id="axis-min-low"),
 ])
@@ -534,6 +540,21 @@ def test_live_backend_without_a_usable_endpoint_is_an_eval_error(tmp_path, capsy
         f"endpoint must be an http or https URL, got {endpoint or ''!r}"
     }
     assert not (tmp_path / "out").exists()  # no item ran, and nothing was written
+
+
+@pytest.mark.parametrize("port, reason", [
+    pytest.param("abc", "Port could not be cast to integer value as 'abc'", id="abc"),
+    pytest.param("99999", "Port out of range 0-65535", id="99999"),
+])
+def test_live_backend_with_a_bad_endpoint_port_is_an_eval_error(tmp_path, capsys, port, reason):
+    flags = common_flags(tmp_path) + ["--max-retries", "0",
+                                      "--endpoint", f"http://judge.example:{port}/v1"]
+    flags[flags.index("--backend") + 1] = "live"
+    assert main(["ruler"] + flags) == 1
+    assert _error_payload(capsys) == {
+        "error": "EvalError", "message": f"--endpoint is not usable by the live backend: {reason}"
+    }
+    assert not (tmp_path / "out").exists()
 
 
 def _rubric_with_level_named_one() -> str:
@@ -743,6 +764,26 @@ def test_non_numeric_baseline_cell_names_its_column(tmp_path, capsys):
     assert "'BLEU'" in err["message"] and "'n/a'" in err["message"]
 
 
+@pytest.mark.parametrize("cell", ["nan", "-inf"])
+def test_non_finite_baseline_cell_names_its_column_and_system(tmp_path, capsys, cell):
+    """No artifact may hold a NaN or Infinity token, which strict JSON readers refuse."""
+    flags = common_flags(tmp_path)
+    assert main(["ruler"] + flags) == 0
+    baseline = tmp_path / "baseline.csv"
+    baseline.write_text(f"system_id,BLEU\nalpha,31.5\nbeta,{cell}\n", encoding="utf-8")
+    assert main(["report"] + flags + ["--baseline", str(baseline)]) == 1
+    err = _error_payload(capsys)
+    assert err["error"] == "CorpusFormatError"
+    assert all(part in err["message"] for part in ("'BLEU'", "'beta'", repr(cell)))
+    assert not (tmp_path / "out" / "run1" / "aggregate.json").exists()
+
+
+def test_json_artifacts_refuse_non_finite_numbers(tmp_path):
+    with pytest.raises(ValueError):
+        write_json(tmp_path / "x.json", {"value": float("nan")})
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_undecodable_baseline_names_the_file(tmp_path, capsys):
     flags = common_flags(tmp_path)
     assert main(["ruler"] + flags) == 0
@@ -806,6 +847,28 @@ def test_verse_grade_reference_index_past_last_is_item_failure(tmp_path):
     assert summary["items_total"] == 180
     assert summary["items_failed"] == 180
     assert {f["error"] for f in summary["failures"]} == {"MissingReference"}
+
+
+def test_verse_gen_records_a_paragraph_without_questions_as_a_failure(tmp_path):
+    """One paragraph's answer has no numbered list: it is one failure, and the
+    other paragraphs' questions are written."""
+    script = json.loads((FIXTURES / "mock_script.json").read_text(encoding="utf-8"))
+    script["rules"].insert(0, {"contains": ["verification questions", "Mind the gate"],
+                               "response": "This passage needs no questions."})
+    listless = tmp_path / "listless_script.json"
+    listless.write_text(json.dumps(script), encoding="utf-8")
+    flags = common_flags(tmp_path)
+    flags[flags.index("--script") + 1] = str(listless)
+    run_dir = tmp_path / "out" / "run1"
+    assert main(["verse", "gen"] + flags) == 0
+    summary = json.loads((run_dir / "verse_gen_summary.json").read_text())
+    assert (summary["items_total"], summary["items_failed"], summary["questions"]) == (10, 1, 81)
+    [failure] = summary["failures"]
+    assert (failure["stage"], failure["error"]) == ("verse:gen", "NoQuestionsParsed")
+    assert (failure["story_id"], failure["index"]) == ("st-arbor", 0)
+    _, questions = read_artifact(run_dir / "questions.jsonl")
+    assert len(questions) == 81
+    assert ("st-arbor", 0) not in {(q["story_id"], q["index"]) for q in questions}
 
 
 def test_verse_classify_keeps_failed_questions_for_a_rerun(tmp_path):

@@ -25,7 +25,6 @@ from rulerverse.errors import (
     TransportExhausted,
 )
 from rulerverse.judge import (
-    BACKEND_DEFAULT,
     CompletionLog,
     Judge,
     JudgeConfig,
@@ -100,13 +99,13 @@ def test_cache_shared_across_instances(tmp_path):
 
 
 def test_temperature_distinguishes_cache_entries(tmp_path):
-    judge = make_judge(tmp_path, script=SCRIPT)
-    r0 = JudgeRequest("s", "rate the honorifics", temperature=0.0)
-    r1 = JudgeRequest("s", "rate the honorifics", temperature=1.0)
-    judge.complete(r0)
-    got = judge.complete(r1)
+    request = JudgeRequest("s", "rate the honorifics")
+    make_judge(tmp_path, script=SCRIPT, temperature=0.0).complete(request)
+    judge = make_judge(tmp_path, script=SCRIPT, temperature=1.0)
+    got = judge.complete(request)
     assert got.cached is False
-    assert judge.stats["backend_calls"] == 2
+    assert judge.stats["backend_calls"] == 1
+    assert len(cache_entries(tmp_path / "cache")) == 2
     assert cache_key("m", 0.0, "s", "u") != cache_key("m", 1.0, "s", "u")
     assert cache_key("m", None, "s", "u") != cache_key("m", 0.0, "s", "u")
 
@@ -151,13 +150,12 @@ def test_corrupt_cache_entry_is_a_miss(tmp_path):
 
 
 def test_backend_default_temperature_shares_counters(tmp_path):
-    judge = make_judge(tmp_path, script=SCRIPT)
-    judge.complete(JudgeRequest("s", "rate the honorifics", temperature=BACKEND_DEFAULT))
+    judge = make_judge(tmp_path, script=SCRIPT, temperature=None)
+    judge.complete(JudgeRequest("s", "rate the honorifics"))
     assert judge.stats["backend_calls"] == 1
-    assert judge.config.temperature == 0.0
     key = cache_key("mock-judge", None, "s", "rate the honorifics",
                     MockScript.load(tmp_path / "script.json").digest)
-    assert key in cache_entries(tmp_path / "cache")
+    assert cache_entries(tmp_path / "cache")[key]["request"]["temperature"] is None
 
 
 def test_mock_script_miss_without_default(tmp_path):
@@ -259,11 +257,10 @@ def test_live_payload_omits_temperature_for_backend_default(tmp_path):
             seen.update(payload)
             return "ok"
 
-    judge = Probe(_live_config(tmp_path))
-    judge.complete(JudgeRequest("s", "u", temperature=BACKEND_DEFAULT))
+    Probe(replace(_live_config(tmp_path), temperature=None)).complete(JudgeRequest("s", "u"))
     assert "temperature" not in seen
     seen.clear()
-    judge.complete(JudgeRequest("s", "u2"))
+    Probe(_live_config(tmp_path)).complete(JudgeRequest("s", "u2"))
     assert seen["temperature"] == 0.0
 
 

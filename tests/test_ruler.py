@@ -6,7 +6,7 @@ import pytest
 
 from conftest import FIXTURES, cache_entries, make_judge
 from rulerverse.cli import main
-from rulerverse.corpus import load_candidates
+from rulerverse.corpus import load_candidates, load_corpus
 from rulerverse.errors import (
     EmptyCandidate,
     InsufficientShots,
@@ -18,6 +18,7 @@ from rulerverse.ruler import (
     CRITERIA,
     Criterion,
     PromptOptions,
+    RubricScorecard,
     ScoredExample,
     audit_honorifics,
     build_ruler_prompt,
@@ -25,7 +26,6 @@ from rulerverse.ruler import (
     load_example_bank,
     load_rubric,
     parse_likert_score,
-    ruler_prompt_sections,
     score_item,
     scorecard_from_record,
     scorecard_to_record,
@@ -52,8 +52,10 @@ def _bank(n=6, story_id="st-bank"):
     ]
 
 
-def _sections_dict(*args, **kwargs):
-    return dict(ruler_prompt_sections(*args, **kwargs))
+def _sections_dict(*args, **kwargs) -> dict[str, str]:
+    """The RULER prompt's `### name` sections, by name, in prompt order."""
+    user_text = build_ruler_prompt(*args, **kwargs).user_text
+    return dict(block.split("\n", 1) for block in ("\n\n" + user_text).split("\n\n### ")[1:])
 
 
 # -- rubric data --
@@ -91,11 +93,11 @@ def test_default_prompt_contains_full_rubric(fixture_corpus, rubric):
 
 def test_prompt_section_order_fixed(fixture_corpus, rubric):
     pair = fixture_corpus.pair("st-arbor", 0)
-    sections = ruler_prompt_sections(
+    sections = _sections_dict(
         Criterion.HONORIFICS, pair, "cand", rubric, "sum",
         PromptOptions(k_shot=5, use_cot=True), shots=_bank(),
     )
-    names = [name for name, _ in sections]
+    names = list(sections)
     assert names == [
         "Task", "Rubric", "Story summary", "Worked examples",
         "Source passage", "Reference translation", "Candidate translation",
@@ -289,6 +291,19 @@ def test_score_candidate_failure_isolation(tmp_path, fixture_corpus):
     assert failure.index == 1
     assert failure.error == "OutOfRange"
     assert failure.stage == "ruler:honorifics"
+
+
+def test_audit_counts_a_paragraph_without_a_dialogue_tag_as_untagged(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("".join(
+        json.dumps({"story_id": "s", "index": i, "source_text": f"source {i}",
+                    "references": [f"ref {i}"], **tag}) + "\n"
+        for i, tag in enumerate([{"has_dialogue": False}, {}])
+    ), encoding="utf-8")
+    cards = [RubricScorecard("sys", "s", i, {c: 3 for c in CRITERIA}) for i in (0, 1)]
+    audit = audit_honorifics(cards, load_corpus(path))
+    assert (audit.checked, audit.compliant, audit.untagged) == (1, 0, 1)
+    assert audit.violations == [{"system_id": "sys", "story_id": "s", "index": 0, "score": 3}]
 
 
 def test_score_candidate_preserves_corpus_order(tmp_path, fixture_corpus):

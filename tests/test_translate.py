@@ -123,11 +123,10 @@ def test_split_sentences():
 
 
 def test_translation_uses_backend_default_temperature(tmp_path, fixture_corpus):
-    judge = make_judge(tmp_path, script=TRANSLATE_SCRIPT)
-    for pair in fixture_corpus.pairs():
-        translate_pair(fixture_corpus, pair, _spec(n_shots=0), judge)
-    entries = list(cache_entries(tmp_path / "cache").values())
-    assert entries
+    """The stage sends no temperature, whatever --temperature says."""
+    summary, _ = _translate_stage(tmp_path, TRANSLATE_SCRIPT, "--shots", "0", "--temperature", "0.7")
+    entries = list(cache_entries(tmp_path / "out" / "judge_cache").values())
+    assert len(entries) == summary["backend_calls"] == fixture_corpus.n_paragraphs
     assert all(e["request"]["temperature"] is None for e in entries)
 
 
