@@ -152,9 +152,9 @@ class RunContext:
             return ruler.load_rubric(self.args.rubric)
         return ruler.bundled_rubric()
 
-    def artifact(self, given: str | None, name: str) -> Path:
-        """The path a flag gives, else the run directory's file `name`."""
-        return Path(given) if given else self.out_dir / name
+    def artifact(self, name: str) -> Path:
+        """The path that the `--{name}` flag gives, else the run directory's `{name}.jsonl`."""
+        return Path(getattr(self.args, name) or self.out_dir / f"{name}.jsonl")
 
     def meta(self, options: PromptOptions | None = None) -> dict:
         meta: dict[str, Any] = {"fingerprint": self.fingerprint, "run_id": self.run_id,
@@ -325,7 +325,7 @@ def cmd_verse_gen(ctx: RunContext) -> int:
 
 
 def cmd_verse_classify(ctx: RunContext) -> int:
-    path = ctx.artifact(ctx.args.questions, "questions.jsonl")
+    path = ctx.artifact("questions")
     meta, questions = read_artifact(path, verse.question_from_record)
     judge = ctx.judge()
 
@@ -356,8 +356,7 @@ def cmd_verse_classify(ctx: RunContext) -> int:
 def cmd_verse_grade(ctx: RunContext) -> int:
     corpus = ctx.load_corpus()
     candidate_sets = ctx.load_candidates(corpus)
-    _, questions = read_artifact(ctx.artifact(ctx.args.questions, "questions.jsonl"),
-                                 verse.question_from_record)
+    _, questions = read_artifact(ctx.artifact("questions"), verse.question_from_record)
     unclassified = [q.question_id for q in questions if q.category is None]
     if unclassified:
         raise UnclassifiedQuestion(
@@ -493,9 +492,9 @@ def _radar_series(table: report.AggregateTable, axis_min: float) -> list[tuple[s
 
 
 def cmd_report(ctx: RunContext) -> int:
-    scorecards_path = ctx.artifact(ctx.args.scorecards, "scorecards.jsonl")
-    grades_path = ctx.artifact(ctx.args.grades, "grades.jsonl")
-    questions_path = ctx.artifact(ctx.args.questions, "questions.jsonl")
+    scorecards_path = ctx.artifact("scorecards")
+    grades_path = ctx.artifact("grades")
+    questions_path = ctx.artifact("questions")
 
     metas: dict[str, dict] = {}
     scorecards: list[ruler.RubricScorecard] = []

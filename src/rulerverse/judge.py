@@ -31,8 +31,7 @@ log = logging.getLogger(__name__)
 
 BACKENDS = ("live", "mock")
 
-# How provenance records a temperature of None: none is sent, so the backend
-# samples at its own default.
+# Provenance's name for a temperature of None: none is sent, the backend's default is used.
 BACKEND_DEFAULT = "backend-default"
 
 # The longest wait that a Retry-After answer can impose before a retry.
@@ -47,7 +46,9 @@ class JudgeRequest:
     user_text: str
 
     @classmethod
-    def render(cls, system_text: str, sections: Iterable[tuple[str, str]]) -> "JudgeRequest":
+    def render(
+        cls, system_text: str, sections: Iterable[tuple[str, str]],
+    ) -> "JudgeRequest":
         """A request whose user text is the `### name` sections, blank-line separated."""
         user_text = "\n\n".join(f"### {name}\n{body}" for name, body in sections)
         return cls(system_text, user_text)
@@ -280,7 +281,8 @@ class Judge:
             self._url = url = urllib.parse.urlsplit(config.endpoint)
             if url.scheme not in ("http", "https") or not url.hostname:
                 raise ValueError(f"endpoint must be an http or https URL, got {config.endpoint!r}")
-            url.port  # ValueError for a port that is not a number in [0, 65535]
+            if url.port == 0:  # and ValueError for a port that is not a number in [0, 65535]
+                raise ValueError("endpoint port must be from 1 to 65535, got 0")
         self._log = CompletionLog(config.cache_dir)
         # idle kept-alive (connection, target, headers); at most one per thread of `map`
         self._idle: list[tuple[Any, str, dict[str, str]]] = []

@@ -545,6 +545,7 @@ def test_live_backend_without_a_usable_endpoint_is_an_eval_error(tmp_path, capsy
 @pytest.mark.parametrize("port, reason", [
     pytest.param("abc", "Port could not be cast to integer value as 'abc'", id="abc"),
     pytest.param("99999", "Port out of range 0-65535", id="99999"),
+    pytest.param("0", "endpoint port must be from 1 to 65535, got 0", id="0"),
 ])
 def test_live_backend_with_a_bad_endpoint_port_is_an_eval_error(tmp_path, capsys, port, reason):
     flags = common_flags(tmp_path) + ["--max-retries", "0",

@@ -52,10 +52,16 @@ def _bank(n=6, story_id="st-bank"):
     ]
 
 
-def _sections_dict(*args, **kwargs) -> dict[str, str]:
-    """The RULER prompt's `### name` sections, by name, in prompt order."""
+def _sections(*args, **kwargs) -> list[tuple[str, str]]:
+    """The RULER prompt's `### name` sections as (name, body) pairs, in prompt order."""
     user_text = build_ruler_prompt(*args, **kwargs).user_text
-    return dict(block.split("\n", 1) for block in ("\n\n" + user_text).split("\n\n### ")[1:])
+    return [
+        tuple(block.split("\n", 1)) for block in ("\n\n" + user_text).split("\n\n### ")[1:]
+    ]
+
+
+def _sections_dict(*args, **kwargs) -> dict[str, str]:
+    return dict(_sections(*args, **kwargs))
 
 
 # -- rubric data --
@@ -93,11 +99,11 @@ def test_default_prompt_contains_full_rubric(fixture_corpus, rubric):
 
 def test_prompt_section_order_fixed(fixture_corpus, rubric):
     pair = fixture_corpus.pair("st-arbor", 0)
-    sections = _sections_dict(
+    sections = _sections(
         Criterion.HONORIFICS, pair, "cand", rubric, "sum",
         PromptOptions(k_shot=5, use_cot=True), shots=_bank(),
     )
-    names = list(sections)
+    names = [name for name, _ in sections]
     assert names == [
         "Task", "Rubric", "Story summary", "Worked examples",
         "Source passage", "Reference translation", "Candidate translation",
