@@ -626,7 +626,10 @@ def fingerprint_fields() -> tuple[str, ...]:
     return tuple(a.dest for a in _common_parser()._actions if a.dest not in OPERATIONAL_FLAGS)
 
 
+@functools.cache
 def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParser]]:
+    """The parser and its leaves, built once per process and never written to after: a
+    caller of `main` per stage or ablation reuses it; a one-stage CLI process gains nothing."""
     # "@FILE" stands for the arguments in FILE, one per line
     parser = argparse.ArgumentParser(
         prog="rulerverse",

@@ -20,6 +20,7 @@ import urllib.parse
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
@@ -84,21 +85,16 @@ class JudgeConfig:
             raise ValueError("cache_dir is required: every judge keeps a completion cache")
 
 
-def cache_key(model_id: str, temperature: float | None, system_text: str, user_text: str,
+def cache_key(model_id: str, temperature: float | None, system_json: str, user_json: str,
               script: str | None = None) -> str:
-    """Stable hash identifying a completion; temperature is always part of it.
+    """Stable hash identifying a completion; temperature is always part of it.  The
+    texts come as `encode_basestring` escaped them, once for the key and the cache line;
+    the payload is the sorted-key `json.dumps(..., ensure_ascii=False)`, byte for byte.
     `script` is the mock script's sha256, so an edited script is asked afresh."""
-    payload = json.dumps(
-        {
-            "model": model_id,
-            "temperature": "default" if temperature is None else repr(float(temperature)),
-            "system": system_text,
-            "user": user_text,
-            **({} if script is None else {"script": script}),
-        },
-        sort_keys=True,
-        ensure_ascii=False,
-    )
+    script_field = "" if script is None else f'"script": {encode_basestring(script)}, '
+    temperature_text = "default" if temperature is None else repr(float(temperature))
+    payload = (f'{{"model": {encode_basestring(model_id)}, {script_field}"system": {system_json}, '
+               f'"temperature": {encode_basestring(temperature_text)}, "user": {user_json}}}')
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -159,7 +155,7 @@ class MockScript:
     def respond(self, system_text: str, user_text: str) -> str:
         combined = f"{system_text}\n\n{user_text}"
         for needles, pattern, digest, response in self._rules:
-            if needles is not None and not all(n in combined for n in needles):
+            if needles is not None and not all(map(combined.__contains__, needles)):
                 continue
             if pattern is not None and not pattern.search(combined):
                 continue
@@ -213,9 +209,8 @@ class CompletionLog:
         at = self._index.get(key)
         return None if at is None else json.loads(os.pread(self._file.fileno(), at[1], at[0]))
 
-    def put(self, key: str, entry: dict) -> None:
-        """Append one line with a single write()."""
-        body = json.dumps(entry, ensure_ascii=False, sort_keys=True).encode("utf-8")
+    def put(self, key: str, body: bytes) -> None:
+        """Append `key` and `body`, an entry's UTF-8 JSON, as one line with a single write()."""
         line = b"%s%s\t%s\n" % (b"\n" if self._torn else b"", key.encode("ascii"), body)
         self._torn = False
         self._file.write(line)
@@ -317,8 +312,10 @@ class Judge:
         answer from the cache, as a hit.  If it failed, one of them calls the
         backend in turn.  The temperature is the config's, None sending none.
         """
-        key = cache_key(self.config.model_id, self.config.temperature, request.system_text,
-                        request.user_text, self._script.digest if self._script is not None else None)
+        system_json = encode_basestring(request.system_text)
+        user_json = encode_basestring(request.user_text)
+        key = cache_key(self.config.model_id, self.config.temperature, system_json, user_json,
+                        self._script.digest if self._script is not None else None)
         flight: threading.Event | None = None
         try:
             while True:
@@ -348,7 +345,7 @@ class Judge:
             if not text.strip():
                 raise EmptyCompletion("backend returned an empty completion")
 
-            self._cache_write(key, request, text)
+            self._cache_write(key, system_json, user_json, text)
             return JudgeResponse(text=text, cached=False)
         finally:
             if flight is not None:
@@ -361,17 +358,23 @@ class Judge:
     def _cache_read(self, key: str) -> str | None:
         try:
             entry = self._log.get(key)
-            return None if entry is None else entry["response"]["text"]
+            if entry is None:
+                return None
+            text = entry["response"]["text"]
+            if isinstance(text, str):
+                return text
         except (ValueError, LookupError, TypeError, OSError):
-            log.warning("unreadable cache entry %s, treating as miss", key)
-            return None
+            pass
+        log.warning("unreadable cache entry %s, treating as miss", key)
+        return None
 
-    def _cache_write(self, key: str, request: JudgeRequest, text: str) -> None:
-        entry = {"request": {"model_id": self.config.model_id, "temperature": self.config.temperature,
-                             "system_text": request.system_text, "user_text": request.user_text},
-                 "response": {"text": text}}
+    def _cache_write(self, key: str, system_json: str, user_json: str, text: str) -> None:
+        """Append the entry as `json.dumps(entry, ensure_ascii=False, sort_keys=True)` would."""
+        body = (f'{{"request": {{"model_id": {encode_basestring(self.config.model_id)}, '
+                f'"system_text": {system_json}, "temperature": {json.dumps(self.config.temperature)}, '
+                f'"user_text": {user_json}}}, "response": {{"text": {encode_basestring(text)}}}}}')
         with self._lock:
-            self._log.put(key, entry)
+            self._log.put(key, body.encode("utf-8"))
 
     # -- live transport --
 
@@ -428,9 +431,12 @@ class Judge:
             delay = float(retry_after) if retry_after.isascii() and retry_after.isdigit() else None
             raise BackendResponseError(resp.status, resp.reason or "", delay)
         try:
-            return json.loads(data)["choices"][0]["message"]["content"]
+            content = json.loads(data)["choices"][0]["message"]["content"]
         except (ValueError, LookupError, TypeError) as exc:
             raise BackendResponseError(resp.status, f"malformed body ({exc!r})") from exc
+        if not isinstance(content, str):  # null on a refusal or a tool call
+            raise BackendResponseError(resp.status, f"malformed body (content {content!r:.80})")
+        return content
 
     def _sleep(self, seconds: float) -> None:
         time.sleep(seconds)

@@ -12,6 +12,7 @@ import hashlib
 import json
 import random
 import shutil
+from json.encoder import encode_basestring
 from pathlib import Path
 
 import pytest
@@ -45,6 +46,9 @@ CACHE_KEYS = 550
 # Moved once on purpose, when the mock's keys took in its script's sha256; with
 # that digest left out, the keys hash to the value pinned before the move.
 CACHE_KEYS_SHA256 = "7ffd9310ec280d0adfc43e4cc14fa74929f9f4fe208cca06f65017b2db53d27f"
+# every byte of the completion log those stages write, taken while each line was
+# still the sorted-key json.dumps of its entry
+COMPLETIONS_SHA256 = "16aa44788b949c582f7a4b026e9985c3d1d3372dccb1ffd5bde461ce24138766"
 
 
 def test_cache_keys_of_every_judge_stage(tmp_path):
@@ -66,13 +70,16 @@ def test_cache_keys_of_every_judge_stage(tmp_path):
     names = sorted(cache_entries(tmp_path / "out" / "judge_cache"))
     digest = hashlib.sha256("\n".join(names).encode("ascii")).hexdigest()
     assert (len(names), digest) == (CACHE_KEYS, CACHE_KEYS_SHA256)
+    log = (tmp_path / "out" / "judge_cache" / "completions.jsonl").read_bytes()
+    assert hashlib.sha256(log).hexdigest() == COMPLETIONS_SHA256
 
 
 def test_live_cache_key():
     """Live keys never depend on a script; this one predates the script digest."""
-    key = cache_key("gpt-judge", 0.0, "You are an evaluator.", "Rate this paragraph: 夜\n\nScore?")
+    key = cache_key("gpt-judge", 0.0, encode_basestring("You are an evaluator."),
+                    encode_basestring("Rate this paragraph: 夜\n\nScore?"))
     assert key == "3e4ad110649fa6b9e8b9cbbb3783b2232d5b645303445dd8dadb4d4edba4e03c"
-    assert cache_key("gpt-judge", None, "sys", "user") == (
+    assert cache_key("gpt-judge", None, '"sys"', '"user"') == (
         "6e4cfb2c248192c623b007f2849f14aa0a6f8b6f45055677274fe58c40f2e485")
 
 

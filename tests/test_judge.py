@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import random
@@ -7,13 +8,17 @@ import socket
 import statistics
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from json.encoder import encode_basestring
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rulerverse
 from conftest import FIXTURES, cache_entries, make_judge
@@ -106,8 +111,60 @@ def test_temperature_distinguishes_cache_entries(tmp_path):
     assert got.cached is False
     assert judge.stats["backend_calls"] == 1
     assert len(cache_entries(tmp_path / "cache")) == 2
-    assert cache_key("m", 0.0, "s", "u") != cache_key("m", 1.0, "s", "u")
-    assert cache_key("m", None, "s", "u") != cache_key("m", 0.0, "s", "u")
+    assert cache_key("m", 0.0, '"s"', '"u"') != cache_key("m", 1.0, '"s"', '"u"')
+    assert cache_key("m", None, '"s"', '"u"') != cache_key("m", 0.0, '"s"', '"u"')
+
+
+def _sorted_dumps_key(model_id, temperature, system_text, user_text, script=None) -> str:
+    """The cache key as `json.dumps` of the payload dict computed it: the oracle."""
+    payload = json.dumps(
+        {
+            "model": model_id,
+            "temperature": "default" if temperature is None else repr(float(temperature)),
+            "system": system_text,
+            "user": user_text,
+            **({} if script is None else {"script": script}),
+        },
+        sort_keys=True,
+        ensure_ascii=False,
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+# any text that UTF-8 can hold, rich in what JSON escapes or encoders trip on
+TEXTS = st.text(st.one_of(st.characters(codec="utf-8"),
+                          st.sampled_from('"\\/\x00\x1f\x7f\t\n\u2028\u2029\ufeff\U0001f600\U0010ffff')))
+TEMPERATURES = st.one_of(st.none(), st.floats(), st.integers(-3, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(model_id=TEXTS, temperature=TEMPERATURES, system_text=TEXTS, user_text=TEXTS,
+       script=st.one_of(st.none(), TEXTS))
+def test_cache_key_hashes_the_sorted_key_json_dumps_payload(model_id, temperature, system_text,
+                                                          user_text, script):
+    assert cache_key(model_id, temperature, encode_basestring(system_text),
+                     encode_basestring(user_text), script) == _sorted_dumps_key(
+        model_id, temperature, system_text, user_text, script)
+
+
+@settings(max_examples=100, deadline=None)
+@given(model_id=TEXTS, temperature=TEMPERATURES, system_text=TEXTS, user_text=TEXTS,
+       text=TEXTS.filter(str.strip))
+def test_cache_line_is_the_sorted_key_json_dumps_entry(model_id, temperature, system_text,
+                                                     user_text, text):
+    with tempfile.TemporaryDirectory() as tmp:
+        script = Path(tmp, "script.json")
+        script.write_text(json.dumps({"rules": [], "default": text}), encoding="utf-8")
+        judge = Judge(JudgeConfig(model_id=model_id, temperature=temperature, script_path=script,
+                                  cache_dir=tmp))
+        assert judge.complete(JudgeRequest(system_text, user_text)).text == text
+        line = Path(tmp, CompletionLog.NAME).read_bytes()
+    entry = {"request": {"model_id": model_id, "temperature": temperature,
+                         "system_text": system_text, "user_text": user_text},
+             "response": {"text": text}}
+    assert line[65:-1] == json.dumps(entry, ensure_ascii=False, sort_keys=True).encode("utf-8")
+    assert line[:65] == _sorted_dumps_key(model_id, temperature, system_text, user_text,
+                                          judge._script.digest).encode("ascii") + b"\t"
 
 
 def test_cache_stores_full_request(tmp_path):
@@ -149,11 +206,23 @@ def test_corrupt_cache_entry_is_a_miss(tmp_path):
     assert make_judge(tmp_path, script=SCRIPT).complete(request).cached is True
 
 
+@pytest.mark.parametrize("text", [None, 5, ["a"], {"x": 1}], ids=["null", "int", "list", "object"])
+def test_cache_entry_whose_text_is_not_a_string_is_a_miss(tmp_path, caplog, text):
+    request = JudgeRequest("s", "rate the honorifics")
+    make_judge(tmp_path, script=SCRIPT).complete(request)
+    key = next(iter(cache_entries(tmp_path / "cache")))
+    with (tmp_path / "cache" / CompletionLog.NAME).open("a", encoding="utf-8") as log_file:
+        log_file.write(f"{key}\t{json.dumps({'response': {'text': text}})}\n")
+    got = make_judge(tmp_path, script=SCRIPT).complete(request)
+    assert (got.text, got.cached) == ("Score: 5", False)
+    assert f"unreadable cache entry {key}" in caplog.text
+
+
 def test_backend_default_temperature_shares_counters(tmp_path):
     judge = make_judge(tmp_path, script=SCRIPT, temperature=None)
     judge.complete(JudgeRequest("s", "rate the honorifics"))
     assert judge.stats["backend_calls"] == 1
-    key = cache_key("mock-judge", None, "s", "rate the honorifics",
+    key = cache_key("mock-judge", None, '"s"', '"rate the honorifics"',
                     MockScript.load(tmp_path / "script.json").digest)
     assert cache_entries(tmp_path / "cache")[key]["request"]["temperature"] is None
 
@@ -403,6 +472,9 @@ OK_BODY = json.dumps({"choices": [{"message": {"content": "Score: 4"}}]})
         ([(401, "{}")], BackendResponseError, 1),
         ([(200, "not json")], BackendResponseError, 1),
         ([(200, json.dumps({"choices": []}))], BackendResponseError, 1),
+        # content that is not a string: null on a refusal or a tool call, a number, parts
+        *(([(200, json.dumps({"choices": [{"message": {"content": content}}]}))],
+           BackendResponseError, 1) for content in (None, 5, [{"type": "text", "text": "4"}])),
     ],
 )
 def test_live_transport_against_loopback_stub(tmp_path, stub, script, outcome, requests_made):
@@ -869,11 +941,16 @@ def _log_bytes_index(data: bytes) -> dict[str, tuple[int, int]]:
     return index
 
 
+def _body(entry: dict) -> bytes:
+    """What the judge appends for `entry`."""
+    return json.dumps(entry, ensure_ascii=False, sort_keys=True).encode("utf-8")
+
+
 def test_entry_longer_than_the_read_buffer_reads_back_intact(tmp_path):
     big = {"response": {"text": "夜" * 40_000 + "x" * 30_000}}  # 190,000 UTF-8 bytes
     store = CompletionLog(tmp_path)
     for key, entry in [("a" * 64, {"n": 1}), ("b" * 64, big), ("c" * 64, {"n": 3})]:
-        store.put(key, entry)
+        store.put(key, _body(entry))
     fresh = CompletionLog(tmp_path)
     assert fresh.keys() == ["a" * 64, "b" * 64, "c" * 64]
     assert [fresh.get(k) for k in fresh.keys()] == [{"n": 1}, big, {"n": 3}]
@@ -881,13 +958,13 @@ def test_entry_longer_than_the_read_buffer_reads_back_intact(tmp_path):
 
 def test_long_torn_last_line_is_skipped_and_terminated(tmp_path):
     store = CompletionLog(tmp_path)
-    store.put("a" * 64, {"n": 1})
+    store.put("a" * 64, _body({"n": 1}))
     path = tmp_path / CompletionLog.NAME
     with path.open("ab") as f:
         f.write(b"f" * 64 + b'\t{"response": "' + b"x" * 100_000)  # a writer died mid-line
     torn = CompletionLog(tmp_path)
     assert torn.keys() == ["a" * 64]
-    torn.put("b" * 64, {"n": 2})
+    torn.put("b" * 64, _body({"n": 2}))
     lines = path.read_bytes().split(b"\n")
     assert len(lines) == 4 and len(lines[1]) == 100_079 and lines[-1] == b""
     again = CompletionLog(tmp_path)
@@ -902,10 +979,10 @@ def test_index_equals_a_split_of_the_log_on_newlines(tmp_path):
     # entries across the read buffer's edges, one key written twice
     entries = [(f"{i % 11:064x}", {"text": "é" * (i * 9_001 % 70_000)}) for i in range(12)]
     for key, entry in entries[:5]:
-        writer.put(key, entry)
+        writer.put(key, _body(entry))
     reader = CompletionLog(tmp_path)
     for key, entry in entries[5:]:
-        writer.put(key, entry)
+        writer.put(key, _body(entry))
     with path.open("ab") as f:
         f.write(b"a line without a key\n" + b"d" * 64 + b'\t{"n": 1}\n' + b"e" * 64 + b"\t{")
     assert CompletionLog(tmp_path)._index == _log_bytes_index(path.read_bytes())
@@ -921,14 +998,14 @@ def _python(code, *args):
 def test_two_writer_processes_lose_no_entry(tmp_path):
     # each writer rereads the log before every put, as a new flight does
     code = """if True:
-        import sys, time
+        import json, sys, time
         from rulerverse.judge import CompletionLog
         store = CompletionLog(sys.argv[1])
         time.sleep(max(0.0, float(sys.argv[3]) - time.time()))
         for i in range(200):
             text = f"{sys.argv[2]}-{i} " + "x" * (i * 37 % 6000)
             store.refresh()
-            store.put(f"{sys.argv[2]}{i:063d}", {"response": {"text": text}})
+            store.put(f"{sys.argv[2]}{i:063d}", json.dumps({"response": {"text": text}}).encode())
     """
     start = time.time() + 1.0
     writers = [_python(code, tmp_path, name, start) for name in "ab"]
@@ -943,12 +1020,12 @@ def test_two_writer_processes_lose_no_entry(tmp_path):
 def test_entry_appended_by_another_process_is_a_hit(tmp_path):
     judge = make_judge(tmp_path, script=SCRIPT)
     request = JudgeRequest("s", "rate the honorifics")
-    key = cache_key("mock-judge", 0.0, "s", "rate the honorifics",
+    key = cache_key("mock-judge", 0.0, '"s"', '"rate the honorifics"',
                     MockScript.load(tmp_path / "script.json").digest)
     code = """if True:
         import sys
         from rulerverse.judge import CompletionLog
-        CompletionLog(sys.argv[1]).put(sys.argv[2], {"response": {"text": "Score: 1"}})
+        CompletionLog(sys.argv[1]).put(sys.argv[2], b'{"response": {"text": "Score: 1"}}')
     """
     assert _python(code, tmp_path / "cache", key).wait(timeout=60) == 0
     got = judge.complete(request)
@@ -959,7 +1036,7 @@ def test_entry_appended_by_another_process_is_a_hit(tmp_path):
 def test_old_per_entry_cache_files_are_not_read(tmp_path, monkeypatch):
     monkeypatch.setattr(Judge, "_post", lambda self, payload: "fresh")
     judge = Judge(_live_config(tmp_path))
-    key = cache_key("m", 0.0, "s", "u")
+    key = cache_key("m", 0.0, '"s"', '"u"')
     (tmp_path / "cache" / f"{key}.json").write_text(
         json.dumps({"request": {"model_id": "m", "temperature": 0.0, "system_text": "s",
                                 "user_text": "u"}, "response": {"text": "stale"}}),
