@@ -629,7 +629,7 @@ def fingerprint_fields() -> tuple[str, ...]:
 @functools.cache
 def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParser]]:
     """The parser and its leaves, built once per process and never written to after: a
-    caller of `main` per stage or ablation reuses it; a one-stage CLI process gains nothing."""
+    process that calls `main` more than once reuses it; a one-stage CLI process gains nothing."""
     # "@FILE" stands for the arguments in FILE, one per line
     parser = argparse.ArgumentParser(
         prog="rulerverse",

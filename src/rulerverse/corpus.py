@@ -216,11 +216,10 @@ def _dead(pid: int) -> bool:
     return False
 
 
-_LINE_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)  # stateless, shared
-
-
 def write_jsonl(path: Path | str, records: Iterable[dict]) -> None:
-    write_atomic(path, "".join(_LINE_ENCODER.encode(record) + "\n" for record in records))
+    write_atomic(path, "".join(
+        json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n" for record in records
+    ))
 
 
 def _require(record: dict, key: str, where: str) -> Any:
