@@ -155,6 +155,11 @@ def read_jsonl(path: Path | str) -> Iterator[tuple[int, dict]]:
                         f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
             if not isinstance(record, dict):
                 raise CorpusFormatError(f"{path}:{lineno}: record must be a JSON object")
+            if "\\" in s and ("\\ud" in s or "\\uD" in s):  # json reads "\\ud800" as a lone surrogate
+                try:
+                    json.dumps(record, ensure_ascii=False).encode("utf-8")
+                except UnicodeEncodeError:
+                    raise CorpusFormatError(f"{path}:{lineno}: lone surrogate escape, not UTF-8") from None
             yield lineno, record
 
 
@@ -162,6 +167,7 @@ def read_json(path: Path | str) -> dict:
     """The JSON object that the file at `path` holds."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
+        json.dumps(data, ensure_ascii=False).encode("utf-8")  # no lone surrogate, as above
     except ValueError as exc:
         raise CorpusFormatError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(data, dict):

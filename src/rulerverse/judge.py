@@ -8,6 +8,7 @@ audited later, and nothing is ever evicted automatically.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -19,7 +20,7 @@ import time
 import urllib.parse
 import weakref
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
@@ -45,14 +46,17 @@ class JudgeRequest:
 
     system_text: str
     user_text: str
+    pieces: tuple[str, ...] = field(default=(), compare=False, repr=False)
 
     @classmethod
     def render(
         cls, system_text: str, sections: Iterable[tuple[str, str]],
     ) -> "JudgeRequest":
-        """A request whose user text is the `### name` sections, blank-line separated."""
-        user_text = "\n\n".join(f"### {name}\n{body}" for name, body in sections)
-        return cls(system_text, user_text)
+        """A request whose user text is the `### name` sections, blank-line separated, in pieces."""
+        pieces: list[str] = []
+        for name, body in sections:
+            pieces += (f"\n\n### {name}\n" if pieces else f"### {name}\n", body)
+        return cls(system_text, "".join(pieces), tuple(pieces))
 
 
 @dataclass(frozen=True)
@@ -85,17 +89,23 @@ class JudgeConfig:
             raise ValueError("cache_dir is required: every judge keeps a completion cache")
 
 
-def cache_key(model_id: str, temperature: float | None, system_json: str, user_json: str,
+@functools.lru_cache(maxsize=1024)
+def _escaped(piece: str) -> bytes:
+    """`piece` JSON-escaped, unquoted, in UTF-8; the escape of a join is the join of the escapes."""
+    return encode_basestring(piece)[1:-1].encode("utf-8")
+
+
+def cache_key(model_id: str, temperature: float | None, system_json: bytes, user_json: bytes,
               script: str | None = None) -> str:
-    """Stable hash identifying a completion; temperature is always part of it.  The
-    texts come as `encode_basestring` escaped them, once for the key and the cache line;
-    the payload is the sorted-key `json.dumps(..., ensure_ascii=False)`, byte for byte.
-    `script` is the mock script's sha256, so an edited script is asked afresh."""
-    script_field = "" if script is None else f'"script": {encode_basestring(script)}, '
+    """A completion's stable sha256, over its sorted-key `json.dumps(..., ensure_ascii=False)` payload:
+    the texts, as UTF-8 JSON strings, the temperature always, and a mock `script`'s sha256."""
+    script_field = b"" if script is None else b'"script": "%s", ' % _escaped(script)
     temperature_text = "default" if temperature is None else repr(float(temperature))
-    payload = (f'{{"model": {encode_basestring(model_id)}, {script_field}"system": {system_json}, '
-               f'"temperature": {encode_basestring(temperature_text)}, "user": {user_json}}}')
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    digest = hashlib.sha256(b'{"model": "%s", %s"system": %s, "temperature": "%s", "user": ' % (
+        _escaped(model_id), script_field, system_json, _escaped(temperature_text)))
+    digest.update(user_json)
+    digest.update(b"}")
+    return digest.hexdigest()
 
 
 def prompt_hash(system_text: str, user_text: str) -> str:
@@ -173,7 +183,7 @@ class CompletionLog:
     """`completions.jsonl`: lines of a 64-hex key, a tab and the entry JSON,
     only ever appended.  An index maps each key to the offset and length of its
     last entry.  A torn last line is skipped, and ended before the next append.
-    Callers serialize `refresh` and `put`; `get` needs no lock."""
+    Callers serialize `refresh` and `put`; `read` and `get` need no lock."""
 
     NAME = "completions.jsonl"
 
@@ -204,10 +214,14 @@ class CompletionLog:
     def keys(self) -> list[str]:
         return list(self._index)
 
+    def read(self, key: str) -> bytes | None:
+        at = self._index.get(key)
+        return None if at is None else os.pread(self._file.fileno(), at[1], at[0])
+
     def get(self, key: str) -> Any:
         """The last entry for `key`, or None; ValueError if it does not parse."""
-        at = self._index.get(key)
-        return None if at is None else json.loads(os.pread(self._file.fileno(), at[1], at[0]))
+        body = self.read(key)
+        return None if body is None else json.loads(body)
 
     def put(self, key: str, body: bytes) -> None:
         """Append `key` and `body`, an entry's UTF-8 JSON, as one line with a single write()."""
@@ -265,8 +279,9 @@ class Judge:
         self.config = config
         self._stats = {"backend_calls": 0, "cache_hits": 0}
         self._lock = threading.Lock()
-        # cache key -> set when the one backend call for that key has ended
-        self._flights: dict[str, threading.Event] = {}
+        self._flights: set[str] = set()  # the keys whose one backend call runs
+        self._landed = threading.Condition(self._lock)  # notified as each of those calls ends
+        self._temperature_json = json.dumps(config.temperature).encode("ascii")
         self._script: MockScript | None = None
         if config.backend == "mock":
             if config.script_path is None:
@@ -312,11 +327,11 @@ class Judge:
         answer from the cache, as a hit.  If it failed, one of them calls the
         backend in turn.  The temperature is the config's, None sending none.
         """
-        system_json = encode_basestring(request.system_text)
-        user_json = encode_basestring(request.user_text)
+        system_json = b'"%s"' % _escaped(request.system_text)
+        user_json = b'"%s"' % b"".join(map(_escaped, request.pieces or (request.user_text,)))
         key = cache_key(self.config.model_id, self.config.temperature, system_json, user_json,
                         self._script.digest if self._script is not None else None)
-        flight: threading.Event | None = None
+        flying = False
         try:
             while True:
                 cached_text = self._cache_read(key)
@@ -326,15 +341,15 @@ class Judge:
                     return JudgeResponse(text=cached_text, cached=True)
                 # a new flight reads the cache once more after it is registered: a flight
                 # that ended just before has written its answer, other processes theirs
-                if flight is not None:
+                if flying:
                     break
                 with self._lock:
-                    leader = self._flights.get(key)
-                    if leader is None:
-                        flight = self._flights[key] = threading.Event()
+                    if key in self._flights:
+                        self._landed.wait_for(lambda: key not in self._flights)
+                    else:
+                        self._flights.add(key)
+                        flying = True
                         self._log.refresh()
-                if leader is not None:
-                    leader.wait()
 
             if self._script is not None:
                 text = self._script.respond(request.system_text, request.user_text)
@@ -348,33 +363,37 @@ class Judge:
             self._cache_write(key, system_json, user_json, text)
             return JudgeResponse(text=text, cached=False)
         finally:
-            if flight is not None:
+            if flying:
                 with self._lock:
-                    del self._flights[key]
-                flight.set()
+                    self._flights.remove(key)
+                    self._landed.notify_all()
 
     # -- cache --
 
     def _cache_read(self, key: str) -> str | None:
+        """The text of `key`'s entry, whose part from the last `, "response": ` on (no JSON string
+        holds `, "`), else the whole entry, must be what `_cache_write` writes for it."""
         try:
-            entry = self._log.get(key)
-            if entry is None:
+            body = self._log.read(key)
+            if body is None:
                 return None
-            text = entry["response"]["text"]
-            if isinstance(text, str):
+            tail = body[body.rfind(b', "response": ') + 2:].decode("utf-8")
+            text = json.decoder.scanstring(tail, 22)[0]  # from after `"response": {"text": "`
+            if tail == '"response": {"text": %s}}' % encode_basestring(text):
                 return text
         except (ValueError, LookupError, TypeError, OSError):
             pass
         log.warning("unreadable cache entry %s, treating as miss", key)
         return None
 
-    def _cache_write(self, key: str, system_json: str, user_json: str, text: str) -> None:
+    def _cache_write(self, key: str, system_json: bytes, user_json: bytes, text: str) -> None:
         """Append the entry as `json.dumps(entry, ensure_ascii=False, sort_keys=True)` would."""
-        body = (f'{{"request": {{"model_id": {encode_basestring(self.config.model_id)}, '
-                f'"system_text": {system_json}, "temperature": {json.dumps(self.config.temperature)}, '
-                f'"user_text": {user_json}}}, "response": {{"text": {encode_basestring(text)}}}}}')
+        body = (b'{"request": {"model_id": "%s", "system_text": %s, "temperature": %s, '
+                b'"user_text": %s}, "response": {"text": %s}}' % (
+                    _escaped(self.config.model_id), system_json, self._temperature_json, user_json,
+                    encode_basestring(text).encode("utf-8")))
         with self._lock:
-            self._log.put(key, body.encode("utf-8"))
+            self._log.put(key, body)
 
     # -- live transport --
 

@@ -571,6 +571,12 @@ _ANNOTATION = {"rater_id": "r1", "channel": "syntax", "story_id": "st-arbor", "i
                "system_id": "alpha", "score": 3}
 
 
+def _corpus_lines_with(escape: str) -> str:
+    """The fixture corpus's first two lines, the second with a field that holds `escape`."""
+    first, second = (FIXTURES / "corpus.jsonl").read_text(encoding="utf-8").splitlines()[:2]
+    return first + "\n" + second[:-1] + f', "note": "{escape}"}}'
+
+
 @pytest.mark.parametrize("stage, flag, content", [
     pytest.param(["ruler"], "--manifest", '{"seed": ', id="manifest-invalid-json"),
     pytest.param(["ruler"], "--script", '{"rules": [', id="script-invalid-json"),
@@ -668,6 +674,19 @@ _ANNOTATION = {"rater_id": "r1", "channel": "syntax", "story_id": "st-arbor", "i
     pytest.param(["validate"], "--annotations", "\n".join(
                  [json.dumps(_ANNOTATION), json.dumps({**_ANNOTATION, "index": 1, "score": True})]),
                  id="annotation-score-true-on-line-2"),
+    # json reads these escapes as lone surrogates, which no UTF-8 prompt or cache line can hold
+    pytest.param(["validate"], "--corpus", _corpus_lines_with("\\ud800"),
+                 id="corpus-lone-high-surrogate-on-line-2"),
+    pytest.param(["ruler"], "--corpus", _corpus_lines_with("\\uDC00"),
+                 id="corpus-lone-low-surrogate-in-upper-case-on-line-2"),
+    pytest.param(["translate", "--no-dialogue-mix"], "--corpus", _corpus_lines_with("x\\udbff y"),
+                 id="corpus-high-surrogate-before-text-on-line-2"),
+    pytest.param(["validate"], "--annotations", json.dumps({**_ANNOTATION, "rater_id": "r\ud800"}),
+                 id="annotation-rater-id-lone-surrogate"),
+    pytest.param(["ruler"], "--script", json.dumps({"rules": [], "default": "Score: 3 \udfff"}),
+                 id="script-default-lone-surrogate"),
+    pytest.param(["ruler"], "--rubric", json.dumps({"criteria": {"\ud800": {}}}),
+                 id="rubric-key-lone-surrogate"),
 ])
 def test_malformed_input_file_is_a_format_error(tmp_path, capsys, stage, flag, content):
     """A malformed JSON input ends in exit 1 and a payload naming the file; a
@@ -681,6 +700,19 @@ def test_malformed_input_file_is_a_format_error(tmp_path, capsys, stage, flag, c
     lines = content.split("\n")
     bad = next((i for i, line in enumerate(lines, 1) if not _is_json(line)), len(lines))
     assert (f"{path}:{bad}:" if len(lines) > 1 else str(path)) in err["message"]
+
+
+def test_surrogate_pair_escapes_and_an_escaped_backslash_load(tmp_path):
+    """A pair of surrogate escapes is one character, and `\\\\ud800` is no escape at all."""
+    lines = (FIXTURES / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[0])
+    record["source_text"] = "\U0001f600 and \\ud800"
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("\n".join([json.dumps(record)] + lines[1:]) + "\n", encoding="utf-8")
+    assert "\\ud83d\\ude00" in path.read_text(encoding="utf-8")
+    flags = common_flags(tmp_path)
+    flags[flags.index("--corpus") + 1] = str(path)
+    assert main(["validate"] + flags) == 0
 
 
 def _is_json(text: str) -> bool:

@@ -76,10 +76,10 @@ def test_cache_keys_of_every_judge_stage(tmp_path):
 
 def test_live_cache_key():
     """Live keys never depend on a script; this one predates the script digest."""
-    key = cache_key("gpt-judge", 0.0, encode_basestring("You are an evaluator."),
-                    encode_basestring("Rate this paragraph: 夜\n\nScore?"))
+    key = cache_key("gpt-judge", 0.0, encode_basestring("You are an evaluator.").encode(),
+                    encode_basestring("Rate this paragraph: 夜\n\nScore?").encode())
     assert key == "3e4ad110649fa6b9e8b9cbbb3783b2232d5b645303445dd8dadb4d4edba4e03c"
-    assert cache_key("gpt-judge", None, '"sys"', '"user"') == (
+    assert cache_key("gpt-judge", None, b'"sys"', b'"user"') == (
         "6e4cfb2c248192c623b007f2849f14aa0a6f8b6f45055677274fe58c40f2e485")
 
 
