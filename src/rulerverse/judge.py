@@ -381,7 +381,7 @@ class Judge:
             text = json.decoder.scanstring(tail, 22)[0]  # from after `"response": {"text": "`
             if tail == '"response": {"text": %s}}' % encode_basestring(text):
                 return text
-        except (ValueError, LookupError, TypeError, OSError):
+        except (ValueError, OSError):
             pass
         log.warning("unreadable cache entry %s, treating as miss", key)
         return None
