@@ -429,7 +429,7 @@ def cmd_agree(ctx: RunContext) -> int:
     for channel, raters in human.items():
         scale = CHANNEL_SCALES[channel]
         label_set = list(range(scale.min, scale.max + 1))
-        # align each rater pair once; every statistic below reuses the alignment
+        # align each rater pair and count its table once; every statistic below reads them
         pairs = list(metrics.rater_pairs(raters))
         agreement = metrics.compute_agreement(raters, pairs, level=level)
         agreement_reports[channel] = agreement

@@ -451,6 +451,8 @@ class Judge:
             raise BackendResponseError(resp.status, resp.reason or "", delay)
         try:
             content = json.loads(data)["choices"][0]["message"]["content"]
+            if isinstance(content, str):  # a lone surrogate escape decodes, but no cache line holds it
+                content.encode("utf-8")
         except (ValueError, LookupError, TypeError) as exc:
             raise BackendResponseError(resp.status, f"malformed body ({exc!r})") from exc
         if not isinstance(content, str):  # null on a refusal or a tool call

@@ -1,7 +1,8 @@
 """Agreement and classification statistics, implemented from first principles.
 
 Everything here is a pure function over immutable inputs.  The paired
-statistics work from count tables, not from the items one by one.  Undefined
+statistics work from count tables, not from the items one by one, and
+`rater_pairs` builds each pair's table once for all of them.  Undefined
 results (constant vectors, zero expected disagreement) are returned as None,
 never as a sentinel number; aggregation layers skip them and report the skip
 count.
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -50,32 +51,36 @@ class RatingVector:
 #
 # Scores lie on small scales, so the items of a rater pair fall into a few
 # (x, y) cells.  tau-b, rho, MSE and the confusion table depend only on the
-# cell counts, so each is computed from Counter(zip(xs, ys)) and its
-# marginals.  Continuous data gives one cell per item and costs O(n log n).
+# cell counts, so each reads the pair's count table: Counter(zip(xs, ys)) and
+# its marginals.  Given a prebuilt `table`, a statistic does not read x and y.
+# Continuous data gives one cell per item and costs O(n log n).
 
-def _cells(xs: Iterable, ys: Iterable) -> tuple[Counter, Counter, Counter]:
-    """Joint counts of (x, y) and the marginal counts of x and of y."""
+CountTable = tuple[int, Counter, Counter, Counter]
+
+
+def _cells(x: Iterable, y: Iterable) -> CountTable:
+    """Count table of two score sequences, checked to pair up item for item."""
+    xs, ys = list(x), list(y)
+    if len(xs) != len(ys):
+        raise LengthMismatch(f"{len(xs)} vs {len(ys)} items")
     cells = Counter(zip(xs, ys))
     by_x: Counter = Counter()
     by_y: Counter = Counter()
     for (a, b), w in cells.items():
         by_x[a] += w
         by_y[b] += w
-    return cells, by_x, by_y
+    return len(xs), cells, by_x, by_y
 
 
-def _paired(x, y, min_len: int) -> tuple[int, Counter, Counter, Counter]:
-    """Item count plus the joint and marginal counts of two score sequences,
-    checked to pair up item for item."""
-    xs, ys = list(x), list(y)
-    if len(xs) != len(ys):
-        raise LengthMismatch(f"{len(xs)} vs {len(ys)} items")
-    if len(xs) < min_len:
-        raise TooFewItems(f"need at least {min_len} items, got {len(xs)}")
-    cells, by_x, by_y = _cells(xs, ys)
+def _paired(x, y, table: CountTable | None, min_len: int) -> CountTable:
+    """`table`, or else the count table of x and y, checked to hold at least
+    `min_len` items and no missing score."""
+    n, cells, by_x, by_y = _cells(x, y) if table is None else table
+    if n < min_len:
+        raise TooFewItems(f"need at least {min_len} items, got {n}")
     if None in by_x or None in by_y:
         raise MissingValue("paired metrics do not accept missing scores")
-    return len(xs), cells, by_x, by_y
+    return n, cells, by_x, by_y
 
 
 def _tie_pairs(counts: Counter) -> int:
@@ -83,7 +88,7 @@ def _tie_pairs(counts: Counter) -> int:
     return sum(t * (t - 1) // 2 for t in counts.values())
 
 
-def kendall_tau_b(x, y) -> float | None:
+def kendall_tau_b(x, y, table: CountTable | None = None) -> float | None:
     """Kendall rank correlation with the tie correction in both variables.
 
     tau_b = (C - D) / sqrt((n0 - n1) * (n0 - n2))
@@ -98,7 +103,7 @@ def kendall_tau_b(x, y) -> float | None:
     n3 the pairs tied in both.  Every count is an exact integer.  Returns None
     when either vector is constant enough to zero a denominator factor.
     """
-    n, cells, by_x, by_y = _paired(x, y, min_len=2)
+    n, cells, by_x, by_y = _paired(x, y, table, min_len=2)
     n0 = n * (n - 1) // 2
     denom_x = n0 - _tie_pairs(by_x)
     denom_y = n0 - _tie_pairs(by_y)
@@ -136,7 +141,7 @@ def _average_ranks(counts: Counter) -> dict:
     return ranks
 
 
-def spearman_rho(x, y) -> float | None:
+def spearman_rho(x, y, table: CountTable | None = None) -> float | None:
     """Pearson correlation of average ranks; None for a constant input.
 
     The Pearson sums run over the cells, weighted by count.  Ranks are
@@ -144,7 +149,7 @@ def spearman_rho(x, y) -> float | None:
     about 10**5, every partial sum is exact: the result does not depend on the
     order of the terms.
     """
-    n, cells, by_x, by_y = _paired(x, y, min_len=2)
+    n, cells, by_x, by_y = _paired(x, y, table, min_len=2)
     rank_x, rank_y = _average_ranks(by_x), _average_ranks(by_y)
     mean_x = sum(w * rank_x[a] for a, w in by_x.items()) / n
     mean_y = sum(w * rank_y[b] for b, w in by_y.items()) / n
@@ -158,10 +163,10 @@ def spearman_rho(x, y) -> float | None:
     return cov / math.sqrt(var_x * var_y)
 
 
-def mse(x, y) -> float:
+def mse(x, y, table: CountTable | None = None) -> float:
     """Mean of squared score differences, summed over the cells by count;
     for integer scores the sum is an exact integer."""
-    n, cells, _, _ = _paired(x, y, min_len=1)
+    n, cells, _, _ = _paired(x, y, table, min_len=1)
     return sum(w * (a - b) ** 2 for (a, b), w in cells.items()) / n
 
 
@@ -180,14 +185,9 @@ def _coincidence_matrix(
     """
     o = {v: {w: 0.0 for w in values} for v in values}
     for unit in units:
-        m = len(unit)
-        if m < 2:
-            continue
-        weight = 1.0 / (m - 1)
-        for i, a in enumerate(unit):
-            for j, b in enumerate(unit):
-                if i != j:
-                    o[a][b] += weight
+        weight = 1.0 / (len(unit) - 1)
+        for a, b in permutations(unit, 2):
+            o[a][b] += weight
     return o
 
 
@@ -277,20 +277,20 @@ class ClassificationReport:
     n_items: int
 
 
-def per_label_prf(gold: Sequence, pred: Sequence, label_set: Sequence) -> ClassificationReport:
+def per_label_prf(
+    gold: Sequence, pred: Sequence, label_set: Sequence, table: CountTable | None = None
+) -> ClassificationReport:
     """Per-label precision/recall/F1 with support, accuracy, and confusion counts.
 
-    The confusion table is read from the (gold, pred) count table.
+    The confusion table is read from the (gold, pred) count table, or `table`.
     Zero-denominator cases score 0.0 and are flagged via zero_division rather
     than erroring, matching the usual convention for absent labels.
     """
-    if len(gold) != len(pred):
-        raise LengthMismatch(f"{len(gold)} gold vs {len(pred)} predicted labels")
-    if len(gold) == 0:
+    n, cells, by_gold, by_pred = _cells(gold, pred) if table is None else table
+    if n == 0:
         raise EmptyInput("no items to score")
     labels = tuple(label_set)
     known = set(labels)
-    cells, by_gold, by_pred = _cells(gold, pred)
     for value in by_gold:
         if value not in known:
             raise LabelError(f"gold label {value!r} outside label set")
@@ -319,7 +319,6 @@ def per_label_prf(gold: Sequence, pred: Sequence, label_set: Sequence) -> Classi
             support=tp + fn, zero_division=zero,
         )
 
-    n = len(gold)
     accuracy = sum(confusion[label][label] for label in labels) / n
     return ClassificationReport(
         label_order=labels, per_label=per_label, accuracy=accuracy,
@@ -329,14 +328,15 @@ def per_label_prf(gold: Sequence, pred: Sequence, label_set: Sequence) -> Classi
 
 # -- multi-rater aggregation --
 
-AlignedPair = tuple[str, str, list[Number], list[Number]]
-PairedMetric = Callable[[Sequence[Number], Sequence[Number]], float | None]
+AlignedPair = tuple[str, str, list[Number], list[Number], CountTable]
+PairedMetric = Callable[[Sequence[Number], Sequence[Number], CountTable], float | None]
 
 
 def rater_pairs(
     group_a: Sequence[RatingVector], group_b: Sequence[RatingVector] | None = None
 ) -> Iterator[AlignedPair]:
-    """(rater_a, rater_b, xs, ys) for each rater pair, aligned on common items.
+    """(rater_a, rater_b, xs, ys, table) for each rater pair, aligned on common
+    items; `table` is the count table of xs and ys, for every paired statistic.
 
     Without `group_b`: every unordered pair within `group_a`, in index order.
     With it: every (a, b) pair across the two groups, `group_a` outermost.
@@ -353,13 +353,13 @@ def rater_pairs(
         xs, ys = a.common_items(b)
         if not xs:
             raise NoCommonItems(f"raters {a.rater_id!r} and {b.rater_id!r} share no items")
-        yield a.rater_id, b.rater_id, xs, ys
+        yield a.rater_id, b.rater_id, xs, ys, _cells(xs, ys)
 
 
 def mean_over_pairs(pairs: Iterable[AlignedPair], metric: PairedMetric) -> tuple[float | None, int]:
     """(mean, skipped): the mean of a paired metric over aligned rater pairs,
     and how many pairs it skipped because the metric was undefined for them."""
-    values = [metric(xs, ys) for _, _, xs, ys in pairs]
+    values = [metric(xs, ys, table) for _, _, xs, ys, table in pairs]
     defined = [v for v in values if v is not None]
     mean = sum(defined) / len(defined) if defined else None
     return mean, len(values) - len(defined)
@@ -414,7 +414,7 @@ class PairwiseClassification:
 
 def classify_pairs(pairs: Iterable[AlignedPair], label_set: Sequence) -> PairwiseClassification:
     """Per-label F1 and accuracy averaged over aligned pairs; rater_a plays gold."""
-    per_pair = [(a, b, per_label_prf(xs, ys, label_set)) for a, b, xs, ys in pairs]
+    per_pair = [(a, b, per_label_prf(xs, ys, label_set, table)) for a, b, xs, ys, table in pairs]
     mean_f1 = {
         label: sum(rep.per_label[label].f1 for _, _, rep in per_pair) / len(per_pair)
         for label in label_set

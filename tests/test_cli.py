@@ -21,6 +21,7 @@ from oracles import alpha_coincidence_oracle, rho_oracle, tau_b_oracle
 import rulerverse
 from rulerverse.cli import _add_common, build_parser, config_fingerprint, main, write_json
 from rulerverse.judge import Judge, MockScript
+from rulerverse import metrics
 from rulerverse.metrics import RatingVector
 
 APPROX = 1e-9
@@ -351,6 +352,27 @@ def test_agree_aligns_each_rater_pair_once(tmp_path, monkeypatch):
     want = {pair: 5 for pair in [("r1", "r2"), ("r1", "r3"), ("r2", "r3")]}
     want.update({(human, "model-x"): 1 for human in ("r1", "r2", "r3")})
     assert Counter(calls) == want
+
+
+def test_agree_builds_one_count_table_per_aligned_pair(tmp_path, monkeypatch):
+    aligned, counted = [], []
+    original_align, original_cells = RatingVector.common_items, metrics._cells
+
+    def align(self, other):
+        aligned.append((self.rater_id, other.rater_id))
+        return original_align(self, other)
+
+    def cells(x, y):
+        counted.append(len(x))
+        return original_cells(x, y)
+
+    monkeypatch.setattr(RatingVector, "common_items", align)
+    monkeypatch.setattr(metrics, "_cells", cells)
+    flags = common_flags(tmp_path, run_id="agree4") + _model_annotation_flags(tmp_path)
+    assert main(["agree"] + flags) == 0
+    # tau-b, rho, MSE and the confusion table of each pair all read its one table
+    assert len(aligned) == 18
+    assert len(counted) == len(aligned)
 
 
 def test_translate_cli_produces_loadable_candidates(tmp_path):

@@ -559,6 +559,9 @@ OK_BODY = json.dumps({"choices": [{"message": {"content": "Score: 4"}}]})
         # content that is not a string: null on a refusal or a tool call, a number, parts
         *(([(200, json.dumps({"choices": [{"message": {"content": content}}]}))],
            BackendResponseError, 1) for content in (None, 5, [{"type": "text", "text": "4"}])),
+        # a lone surrogate escape: json reads it, but no UTF-8 cache line can hold it
+        ([(200, json.dumps({"choices": [{"message": {"content": "Score: 4 \ud800"}}]}))],
+         BackendResponseError, 1),
     ],
 )
 def test_live_transport_against_loopback_stub(tmp_path, stub, script, outcome, requests_made):

@@ -1,9 +1,10 @@
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -171,6 +172,13 @@ def test_alpha_no_overlap_raises():
         krippendorff_alpha([[1, 2, 3]])
 
 
+def test_alpha_errors():
+    with pytest.raises(LengthMismatch):
+        krippendorff_alpha([[1, 2, 3], [1, 2]])
+    with pytest.raises(ValueError, match="level must be one of"):
+        krippendorff_alpha([[1, 2, 3], [1, 2, 3]], level="ratio")
+
+
 def test_alpha_decreases_when_one_agreement_is_flipped():
     agree = [[1, 2, 3, 1, 2], [1, 2, 3, 1, 2]]
     flipped = [[1, 2, 3, 1, 2], [1, 2, 3, 1, 3]]
@@ -232,6 +240,38 @@ def test_per_label_prf_errors():
         per_label_prf([], [], [1])
 
 
+def _table(x, y):
+    """A pair's count table built by hand: (n, cells, counts of x, counts of y)."""
+    return len(x), Counter(zip(x, y)), Counter(x), Counter(y)
+
+
+@pytest.mark.parametrize("statistic, x, y, error", [
+    (kendall_tau_b, [1], [2], TooFewItems),
+    (spearman_rho, [1], [2], TooFewItems),
+    (mse, [], [], TooFewItems),
+    (kendall_tau_b, [1, None, 3], [1, 2, 3], MissingValue),
+    (spearman_rho, [1, 2, 3], [1, 2, None], MissingValue),
+    (mse, [None], [1], MissingValue),
+], ids=["tau-short", "rho-short", "mse-empty", "tau-missing", "rho-missing", "mse-missing"])
+def test_paired_statistics_check_a_given_table(statistic, x, y, error):
+    with pytest.raises(error):
+        statistic(x, y)
+    with pytest.raises(error):
+        statistic(x, y, _table(x, y))
+
+
+@pytest.mark.parametrize("gold, pred, error, message", [
+    ([1, 9], [1, 2], LabelError, "gold label 9"),
+    ([1, 2], [1, 9], LabelError, "predicted label 9"),
+    ([], [], EmptyInput, "no items"),
+], ids=["gold-label", "predicted-label", "empty"])
+def test_per_label_prf_checks_a_given_table(gold, pred, error, message):
+    with pytest.raises(error, match=message):
+        per_label_prf(gold, pred, [1, 2])
+    with pytest.raises(error, match=message):
+        per_label_prf(gold, pred, [1, 2], _table(gold, pred))
+
+
 def test_confusion_marginals():
     gold = [1, 2, 3, 1, 2, 2]
     pred = [1, 3, 3, 2, 2, 1]
@@ -252,7 +292,7 @@ def _vec(rater, ids, scores):
 def test_pairwise_identity_raters():
     raters = [_vec(r, "abcd", [1, 2, 3, 4]) for r in ("r1", "r2", "r3")]
     pairs = list(rater_pairs(raters))
-    assert [(a, b) for a, b, _, _ in pairs] == [("r1", "r2"), ("r1", "r3"), ("r2", "r3")]
+    assert [(a, b) for a, b, *_ in pairs] == [("r1", "r2"), ("r1", "r3"), ("r2", "r3")]
     assert mean_over_pairs(pairs, kendall_tau_b) == (pytest.approx(1.0), 0)
 
 
@@ -262,7 +302,7 @@ def test_pairwise_mean_hand_checked():
     r2 = _vec("r2", "abcd", [2, 3, 4, 5])
     r3 = _vec("r3", "abcd", [1, 3, 2, 4])
     pairs = list(rater_pairs([r1, r2, r3]))
-    values = {(a, b): kendall_tau_b(xs, ys) for a, b, xs, ys in pairs}
+    values = {(a, b): kendall_tau_b(xs, ys) for a, b, xs, ys, _ in pairs}
     assert values[("r1", "r2")] == pytest.approx(1.0)
     assert values[("r1", "r3")] == pytest.approx(2 / 3, abs=APPROX)
     assert values[("r2", "r3")] == pytest.approx(2 / 3, abs=APPROX)
@@ -274,9 +314,9 @@ def test_pairwise_mean_hand_checked():
 def test_pairwise_common_item_alignment_with_missing():
     r1 = _vec("r1", "abc", [1, 2, None])
     r2 = _vec("r2", "abc", [1, 2, 3])
-    [(_, _, xs, ys)] = rater_pairs([r1, r2])
+    [(_, _, xs, ys, table)] = rater_pairs([r1, r2])
     assert (xs, ys) == ([1, 2], [1, 2])
-    assert mean_over_pairs([("r1", "r2", xs, ys)], mse) == (0.0, 0)
+    assert mean_over_pairs([("r1", "r2", xs, ys, table)], mse) == (0.0, 0)
 
 
 def test_pairwise_undefined_values_are_skipped():
@@ -286,6 +326,14 @@ def test_pairwise_undefined_values_are_skipped():
     assert mean_over_pairs(rater_pairs([r1, r2, r3]), kendall_tau_b) == (
         pytest.approx(kendall_tau_b([1, 2, 3], [1, 3, 3])), 2
     )
+
+
+@pytest.mark.parametrize("groups", [(["r1"],), ([], ["r1"]), (["r1"], [])],
+                         ids=["one-rater", "empty-first-group", "empty-second-group"])
+def test_rater_pairs_need_two_raters(groups):
+    vectors = [[_vec(r, "ab", [1, 2]) for r in group] for group in groups]
+    with pytest.raises(TooFewItems):
+        list(rater_pairs(*vectors))
 
 
 def test_pairwise_no_common_items_raises():
@@ -299,7 +347,7 @@ def test_cross_pairwise_counts_three_pairs():
     humans = [_vec(r, "abcd", [1, 2, 3, 4]) for r in ("h1", "h2", "h3")]
     model = [_vec("model", "abcd", [1, 2, 4, 3])]
     pairs = list(rater_pairs(humans, model))
-    assert [(a, b) for a, b, _, _ in pairs] == [("h1", "model"), ("h2", "model"), ("h3", "model")]
+    assert [(a, b) for a, b, *_ in pairs] == [("h1", "model"), ("h2", "model"), ("h3", "model")]
     assert mean_over_pairs(pairs, spearman_rho) == (pytest.approx(0.8), 0)
 
 
@@ -412,6 +460,23 @@ def tie_heavy_pairs(draw):
     x = draw(st.lists(st.sampled_from(pool_x), min_size=n, max_size=n))
     y = draw(st.lists(st.sampled_from(pool_y), min_size=n, max_size=n))
     return x, y
+
+
+@settings(max_examples=120, deadline=None)
+@given(tie_heavy_pairs())
+@example(([2, 2, 2], [1, 2, 3]))
+@example(([1, 2, 3], [4, 4, 4]))
+def test_statistics_from_a_shared_table_equal_the_vector_calls(xy):
+    # ties from small pools, and a one-value pool for a constant vector (tau and rho None)
+    x, y = xy
+    ids = [f"i{k:03d}" for k in range(len(x))]
+    [(_, _, xs, ys, table)] = rater_pairs([_vec("a", ids, x), _vec("b", ids, y)])
+    assert (xs, ys) == (x, y)
+    labels = sorted(set(x) | set(y))
+    for given_table in (table, _table(x, y)):
+        for statistic in (kendall_tau_b, spearman_rho, mse):
+            assert statistic(xs, ys, given_table) == statistic(x, y)
+        assert per_label_prf(xs, ys, labels, given_table) == per_label_prf(x, y, labels)
 
 
 @settings(max_examples=120, deadline=None)
