@@ -163,11 +163,13 @@ def read_jsonl(path: Path | str) -> Iterator[tuple[int, dict]]:
             yield lineno, record
 
 
-def read_json(path: Path | str) -> dict:
-    """The JSON object that the file at `path` holds."""
+def read_json(path: Path | str, raw: bytes | None = None) -> dict:
+    """The JSON object that the file at `path` holds, or `raw`, its bytes, if given."""
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        json.dumps(data, ensure_ascii=False).encode("utf-8")  # no lone surrogate, as above
+        text = (Path(path).read_bytes() if raw is None else raw).decode("utf-8")
+        data = json.loads(text)
+        if "\\ud" in text or "\\uD" in text:  # no lone surrogate, as above
+            json.dumps(data, ensure_ascii=False).encode("utf-8")
     except ValueError as exc:
         raise CorpusFormatError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(data, dict):

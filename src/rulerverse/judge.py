@@ -123,7 +123,8 @@ class MockScript:
 
     A rule matches when every condition it carries holds ("contains" may be a
     list, all substrings required).  Rules are tried in order; the optional
-    default answers anything unmatched.
+    default answers anything unmatched.  A prompt's search tests each needle at
+    most once, and an absent needle rules out every rule that needs it.
     """
 
     def __init__(self, rules: list[dict], default: str | None = None, digest: str | None = None,
@@ -132,8 +133,7 @@ class MockScript:
             raise CorpusFormatError(f"{where}: rules must be a list")
         if default is not None and not isinstance(default, str):
             raise CorpusFormatError(f"{where}: default must be a string")
-        # per rule: its substrings, compiled regex and prompt hash (None where it has
-        # no such condition), then its response
+        # per rule: its substrings, compiled regex, prompt hash (None where absent), response
         self._rules: list[tuple[list[str] | None, re.Pattern | None, str | None, str]] = []
         for i, rule in enumerate(rules):
             if not isinstance(rule, dict) or not isinstance(rule.get("response"), str):
@@ -158,20 +158,38 @@ class MockScript:
 
     @classmethod
     def load(cls, path: Path | str) -> "MockScript":
-        data = read_json(path)
+        raw = Path(path).read_bytes()  # the rules and the digest come from the same bytes
+        data = read_json(path, raw)
         return cls(rules=data.get("rules", []), default=data.get("default"),
-                   digest=hashlib.sha256(Path(path).read_bytes()).hexdigest(), where=str(path))
+                   digest=hashlib.sha256(raw).hexdigest(), where=str(path))
+
+    @functools.cached_property
+    def _walk(self) -> tuple:
+        """Per rule: its distinct needles, most shared first, each with the mask of rules it spares."""
+        needed_by: dict[str, int] = {}
+        for i, (needles, *_) in enumerate(self._rules):
+            for needle in needles or ():
+                needed_by[needle] = needed_by.get(needle, 0) | 1 << i
+        return tuple((tuple((n, ~needed_by[n]) for n in sorted(
+            dict.fromkeys(needles or ()), key=lambda n: -needed_by[n].bit_count())), *rest)
+            for needles, *rest in self._rules)
 
     def respond(self, system_text: str, user_text: str) -> str:
         combined = f"{system_text}\n\n{user_text}"
-        for needles, pattern, digest, response in self._rules:
-            if needles is not None and not all(map(combined.__contains__, needles)):
-                continue
-            if pattern is not None and not pattern.search(combined):
-                continue
-            if digest is not None and digest != prompt_hash(system_text, user_text):
-                continue
-            return response
+        live, present, hashed = (1 << len(self._rules)) - 1, set(), None
+        while live:  # the lowest live position is the first live rule in script order
+            needles, pattern, digest, response = self._walk[(live & -live).bit_length() - 1]
+            for needle, keep in needles:
+                if needle not in present:
+                    if needle not in combined:
+                        live &= keep  # out go all the rules that need this needle
+                        break
+                    present.add(needle)
+            else:
+                if (pattern is None or pattern.search(combined)) and (digest is None or digest == (
+                        hashed := hashed or prompt_hash(system_text, user_text))):
+                    return response
+                live &= live - 1
         if self.default is not None:
             return self.default
         raise MockScriptMiss(

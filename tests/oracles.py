@@ -5,11 +5,14 @@ sign-product accumulation for tau, count-based ranks plus the raw-sum Pearson
 formula for rho, and a permutations-built coincidence matrix for alpha.  They
 are slow and only suitable for small inputs.  The item-by-item formulas for
 rho and MSE that the library used before it computed from count tables are
-kept here too, as the reference its results must equal bit for bit.
+kept here too, as the reference its results must equal bit for bit.  So is the
+mock judge's linear scan of its rules, the reference for its needle index.
 """
 from __future__ import annotations
 
+import hashlib
 import math
+import re
 from itertools import permutations
 
 
@@ -181,3 +184,19 @@ def rho_sequential(x, y):
 def mse_sequential(x, y):
     """Mean of squared differences, summed item by item."""
     return sum((a - b) ** 2 for a, b in zip(x, y)) / len(x)
+
+
+def mock_respond_oracle(script, system_text, user_text):
+    """The mock judge's answer by a linear scan of the script's rules: the first, in script
+    order, whose conditions all hold, else the default; None where neither answers."""
+    prompt = f"{system_text}\n\n{user_text}"
+    for rule in script.get("rules", []):
+        needles = rule.get("contains", [])
+        if not all(needle in prompt for needle in ([needles] if isinstance(needles, str) else needles)):
+            continue
+        if "regex" in rule and not re.search(rule["regex"], prompt):
+            continue
+        if "hash" in rule and rule["hash"] != hashlib.sha256(prompt.encode("utf-8")).hexdigest():
+            continue
+        return rule["response"]
+    return script.get("default")

@@ -23,9 +23,11 @@ from hypothesis import strategies as st
 
 import rulerverse
 from conftest import FIXTURES, cache_entries, make_judge
+from oracles import mock_respond_oracle
 from rulerverse.corpus import load_candidates
 from rulerverse.errors import (
     BackendResponseError,
+    CorpusFormatError,
     EmptyCompletion,
     MockScriptMiss,
     TransportExhausted,
@@ -418,10 +420,96 @@ def test_live_payload_omits_temperature_for_backend_default(tmp_path):
 
 
 def test_mock_script_validation():
-    with pytest.raises(Exception):
-        MockScript(rules=[{"response": "x"}])
-    with pytest.raises(Exception):
-        MockScript(rules=[{"contains": "x"}])
+    for rules, default, message in [
+        ([{"response": "x"}], None, "rule 0: needs contains, regex, or hash"),
+        ([{"contains": "x"}], None, "rule 0: response must be a string"),
+        ({"contains": "x", "response": "y"}, None, "rules must be a list"),
+        ([], 3, "default must be a string"),
+        ([{"contains": 1, "response": "y"}], None, "rule 0: contains must be a string or a list"),
+        ([{"contains": ["x", None], "response": "y"}], None, "rule 0: contains must be a string or a list"),
+        ([{"contains": "x", "response": "y"}, {"hash": 7, "response": "y"}], None,
+         "rule 1: hash must be a string"),
+        ([{"regex": "(", "response": "y"}], None, "rule 0: bad regex"),
+        ([{"regex": 5, "response": "y"}], None, "rule 0: bad regex"),
+    ]:
+        with pytest.raises(CorpusFormatError, match=message):
+            MockScript(rules=rules, default=default)
+
+
+def test_judge_config_refuses_negative_retries(tmp_path):
+    with pytest.raises(ValueError, match="max_retries must be >= 0"):
+        JudgeConfig(cache_dir=tmp_path, max_retries=-1)
+
+
+def test_mock_script_digest_is_of_the_bytes_its_rules_came_from(tmp_path, monkeypatch):
+    """A script replaced while it loads: the digest is still that of the rules' own bytes, so no
+    answer of the old rules is ever cached under the new script's digest."""
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps({"rules": [{"contains": "x", "response": "old"}]}), encoding="utf-8")
+    old = path.read_bytes()
+    read_json = rulerverse.judge.read_json
+
+    def read_then_replace(*args):
+        data = read_json(*args)
+        path.write_text(json.dumps({"rules": [{"contains": "x", "response": "new"}]}), encoding="utf-8")
+        return data
+
+    monkeypatch.setattr(rulerverse.judge, "read_json", read_then_replace)
+    script = MockScript.load(path)
+    assert script.respond("s", "x") == "old"
+    assert script.digest == hashlib.sha256(old).hexdigest() != hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_mock_script_hashes_a_prompt_at_most_once(monkeypatch):
+    hashed = []
+    monkeypatch.setattr(rulerverse.judge, "prompt_hash", lambda *texts: hashed.append(texts) or "0")
+    rules = [{"hash": f"{i}", "response": f"rule {i}"} for i in range(1, 4)] + [{"hash": "0", "response": "x"}]
+    assert MockScript(rules).respond("s", "u") == "x"
+    assert hashed == [("s", "u")]
+
+
+# needles from a small alphabet, so that rules share them and some span the "\n\n" between
+# the system and the user text; each regex is one that such prompts can match or miss
+MOCK_TEXTS = st.text(alphabet="ab\n", max_size=6)
+NEEDLES = st.text(alphabet="ab\n", max_size=4)
+REGEXES = st.sampled_from(["a+b", "^b", "a\nb", "b$", "(?s)a.b", "\n\n", "^$"])
+
+
+@st.composite
+def mock_cases(draw):
+    """A script and the prompts to ask it; some hash rules hold the hash of one of them."""
+    prompts = draw(st.lists(st.tuples(MOCK_TEXTS, MOCK_TEXTS), min_size=1, max_size=4))
+    hashes = st.sampled_from([prompt_hash(*prompt) for prompt in prompts] + ["0" * 64])
+    rules = []
+    for i in range(draw(st.integers(0, 10))):
+        rule = {"response": f"rule {i}"}
+        if draw(st.booleans()):
+            rule["contains"] = draw(st.one_of(NEEDLES, st.lists(NEEDLES, max_size=3)))
+        if draw(st.integers(0, 3)) == 0:
+            rule["regex"] = draw(REGEXES)
+        if draw(st.integers(0, 3)) == 0:
+            rule["hash"] = draw(hashes)
+        if len(rule) == 1:  # no condition drawn: an empty contains list, which always holds
+            rule["contains"] = []
+        rules.append(rule)
+    script = {"rules": rules, **({"default": "default"} if draw(st.booleans()) else {})}
+    return script, prompts
+
+
+@settings(max_examples=400, deadline=None)
+@given(mock_cases())
+def test_mock_script_answers_as_the_linear_scan(case):
+    """The needle index changes no answer: each prompt gets the first rule in script order
+    whose conditions all hold, else the default, else MockScriptMiss."""
+    script, prompts = case
+    mock = MockScript(script["rules"], script.get("default"))
+    for system_text, user_text in prompts:
+        want = mock_respond_oracle(script, system_text, user_text)
+        if want is None:
+            with pytest.raises(MockScriptMiss):
+                mock.respond(system_text, user_text)
+        else:
+            assert mock.respond(system_text, user_text) == want
 
 
 def test_concurrent_completions(tmp_path):
