@@ -4,8 +4,10 @@ Every subcommand writes into out/<run_id>/ and embeds the run's config
 fingerprint in each artifact; re-running with an unchanged config is
 idempotent because judge completions are served from the on-disk cache and
 every artifact file is rewritten atomically (`corpus.write_atomic`) with
-deterministic content.  `--jobs` sets the judge's concurrency limit, the number
-of threads that run a live backend's items.
+deterministic content.  One runner, `RunContext.run_stage`, turns a failed item of any
+judge stage into a failure record; flags that would fail every item (too small a bank,
+an unknown `--bank-stories` story) end the stage first.  `--jobs` sets the judge's
+concurrency limit, the number of threads that run a live backend's items.
 """
 from __future__ import annotations
 
@@ -24,12 +26,12 @@ from typing import Any, Callable, Iterable, Sequence
 
 from . import corpus as corpus_mod
 from . import metrics, report, ruler, translate, verse
-from .corpus import CHANNEL_SCALES, CandidateSet, Corpus, ParagraphPair, SampleManifest
-from .errors import (CorpusFormatError, EmptyRun, EvalError, MixedFingerprint,
-                     UnclassifiedQuestion)
+from .corpus import CHANNEL_SCALES, CandidateSet, Corpus, SampleManifest
+from .errors import (CorpusFormatError, EmptyRun, EvalError, InsufficientBank, InsufficientShots,
+                     MixedFingerprint, UnclassifiedQuestion, UnknownItem)
 from .judge import BACKEND_DEFAULT, BACKENDS, Judge, JudgeConfig
 from .metrics import RatingVector
-from .ruler import ItemFailure, PromptOptions, split_failures
+from .ruler import ItemFailure, PromptOptions
 
 log = logging.getLogger(__name__)
 
@@ -187,6 +189,23 @@ class RunContext:
             summary.update(extra)
         write_json(self.out_dir / f"{name}_summary.json", summary)
 
+    def run_stage(self, name: str, judge: Judge, items: Sequence, work: Callable[[Any], Any],
+                  failure: Callable[[Any], tuple], write: Callable[[list], dict | None]) -> int:
+        """`work(item)` for every item through `judge.map`; an EvalError becomes the item's
+        `ItemFailure.of(exc, *failure(item))`, and a returned ItemFailure stays one.  `write`
+        gets the other outcomes in input order, and the stage summary the dict it returns."""
+        def run(item):
+            try:
+                return work(item)
+            except EvalError as exc:
+                return ItemFailure.of(exc, *failure(item))
+
+        outcomes = judge.map(run, items)
+        failures = [o for o in outcomes if isinstance(o, ItemFailure)]
+        extra = write([o for o in outcomes if not isinstance(o, ItemFailure)])
+        self.write_summary(name, judge, len(items), failures, extra)
+        return 0
+
 
 # -- subcommands --
 
@@ -242,26 +261,25 @@ def cmd_translate(ctx: RunContext) -> int:
         bank_story_ids=tuple(ctx.args.bank_stories or ()),
         require_dialogue_mix=not ctx.args.no_dialogue_mix,
     )
+    try:  # a bank that no story can draw on would fail every item
+        offered = sum(len(corpus.story(sid).paragraphs) for sid in spec.bank_story_ids)
+    except UnknownItem as exc:
+        raise UnknownItem(f"--bank-stories: {exc}") from None
+    if offered < spec.n_shots:
+        raise InsufficientBank(f"--shots {spec.n_shots}: --bank-stories has {offered} paragraphs")
     judge = ctx.judge(backend_temperature=True)
     system_id = ctx.args.system_id or ctx.args.model
-    pairs = list(corpus.pairs())
 
-    def work(pair: ParagraphPair):
-        try:
-            return (pair.story_id, pair.index), translate.translate_pair(corpus, pair, spec, judge)
-        except EvalError as exc:
-            return ItemFailure.of(exc, "translate", pair.story_id, pair.index, system_id)
+    def write(done: list) -> dict:
+        provenance = {"fingerprint": ctx.fingerprint, "model_id": ctx.args.model,
+                      "spec_fingerprint": spec.fingerprint(), "temperature": BACKEND_DEFAULT}
+        out_path = ctx.out_dir / f"candidates_{_sanitize(system_id)}.jsonl"
+        corpus_mod.save_candidates(CandidateSet(system_id, dict(done), provenance), out_path)
+        return {"system_id": system_id, "output": str(out_path)}
 
-    done, failures = split_failures(judge.map(work, pairs))
-    provenance = {"fingerprint": ctx.fingerprint, "model_id": ctx.args.model,
-                  "spec_fingerprint": spec.fingerprint(), "temperature": BACKEND_DEFAULT}
-    out_path = ctx.out_dir / f"candidates_{_sanitize(system_id)}.jsonl"
-    corpus_mod.save_candidates(CandidateSet(system_id, dict(done), provenance), out_path)
-    ctx.write_summary(
-        "translate", judge, len(pairs), failures,
-        extra={"system_id": system_id, "output": str(out_path)},
-    )
-    return 0
+    return ctx.run_stage("translate", judge, list(corpus.pairs()), lambda pair: (
+        (pair.story_id, pair.index), translate.translate_pair(corpus, pair, spec, judge)),
+        lambda pair: ("translate", pair.story_id, pair.index, system_id), write)
 
 
 def cmd_ruler(ctx: RunContext) -> int:
@@ -270,32 +288,28 @@ def cmd_ruler(ctx: RunContext) -> int:
     pairs = ctx.in_manifest(list(corpus.pairs()))
     rubric = ctx.rubric()
     options = ctx.options()
+    shots = ruler.load_example_bank(ctx.args.shots_bank) if ctx.args.shots_bank else []
+    held = {c.value: sum(s.criterion is c for s in shots) for c in ruler.CRITERIA}
+    if min(held.values()) < options.k_shot:  # a bank short of one criterion would fail every item
+        raise InsufficientShots(f"--k-shot {options.k_shot}: --shots-bank holds {held}")
     judge = ctx.judge()
-    shots: list[ruler.ScoredExample] = []
-    if ctx.args.shots_bank:
-        shots = ruler.load_example_bank(ctx.args.shots_bank)
+
+    def write(cards: list[ruler.RubricScorecard]) -> None:
+        options_fp = options.fingerprint()
+        # a sorted copy: the audit reads the cards in input order
+        records = [ruler.scorecard_to_record(card, options_fp, ctx.args.model)
+                   for card in sorted(cards, key=lambda c: (c.system_id, c.story_id, c.index))]
+        write_artifact(ctx.out_dir / "scorecards.jsonl", ctx.meta(options), records)
+        audit = ruler.audit_honorifics(cards, corpus)
+        write_json(ctx.out_dir / "honorifics_audit.json",
+                   {"fingerprint": ctx.fingerprint, **asdict(audit)})
 
     # every system's paragraphs in one pass: --candidates order, then corpus order
     items = [(cands, pair) for cands in candidate_sets for pair in pairs
              if (pair.story_id, pair.index) in cands.translations]
-
-    def work(item: tuple[CandidateSet, ParagraphPair]):
-        return ruler.score_item(corpus, *item, rubric, options, judge, shots)
-
-    cards, failures = split_failures(judge.map(work, items))
-    options_fp = options.fingerprint()
-    records = [
-        ruler.scorecard_to_record(card, options_fp, ctx.args.model)
-        for card in sorted(cards, key=lambda c: (c.system_id, c.story_id, c.index))
-    ]
-    write_artifact(ctx.out_dir / "scorecards.jsonl", ctx.meta(options), records)
-    audit = ruler.audit_honorifics(cards, corpus)
-    write_json(
-        ctx.out_dir / "honorifics_audit.json",
-        {"fingerprint": ctx.fingerprint, **asdict(audit)},
-    )
-    ctx.write_summary("ruler", judge, len(items), failures)
-    return 0
+    return ctx.run_stage("ruler", judge, items, lambda i: ruler.score_item(
+        corpus, *i, rubric, options, judge, shots),
+        lambda i: ("ruler", i[1].story_id, i[1].index, i[0].system_id), write)
 
 
 def cmd_verse_gen(ctx: RunContext) -> int:
@@ -303,54 +317,38 @@ def cmd_verse_gen(ctx: RunContext) -> int:
     pairs = ctx.in_manifest(list(corpus.pairs()))
     judge = ctx.judge()
 
-    def work(pair):
-        summary = corpus.story(pair.story_id).summary
-        try:
-            return verse.generate_questions(pair, summary, ctx.args.n_questions, judge)
-        except EvalError as exc:
-            return ItemFailure.of(exc, "verse:gen", pair.story_id, pair.index)
+    def write(generated: list[list[verse.VerseQuestion]]) -> dict:
+        questions = sorted((q for qs in generated for q in qs),
+                           key=lambda q: (q.story_id, q.index, q.question_id))
+        write_artifact(ctx.out_dir / "questions.jsonl", ctx.meta(),
+                       [verse.question_to_record(q) for q in questions])
+        return {"questions": len(questions)}
 
-    generated, failures = split_failures(judge.map(work, pairs))
-    questions = [q for qs in generated for q in qs]
-    questions.sort(key=lambda q: (q.story_id, q.index, q.question_id))
-    write_artifact(
-        ctx.out_dir / "questions.jsonl",
-        ctx.meta(),
-        [verse.question_to_record(q) for q in questions],
-    )
-    ctx.write_summary(
-        "verse_gen", judge, len(pairs), failures, extra={"questions": len(questions)}
-    )
-    return 0
+    return ctx.run_stage("verse_gen", judge, pairs, lambda pair: verse.generate_questions(
+        pair, corpus.story(pair.story_id).summary, ctx.args.n_questions, judge),
+        lambda pair: ("verse:gen", pair.story_id, pair.index), write)
 
 
 def cmd_verse_classify(ctx: RunContext) -> int:
     path = ctx.artifact("questions")
     meta, questions = read_artifact(path, verse.question_from_record)
+    meta = meta or ctx.meta()
     judge = ctx.judge()
 
-    def work(q: verse.VerseQuestion):
-        if q.category is not None:
-            return q
-        try:
+    def work(q: verse.VerseQuestion) -> verse.VerseQuestion:
+        if q.category is None:
             q.category = verse.classify_question(q, judge)
-            return q
-        except EvalError as exc:
-            return ItemFailure.of(
-                exc, "verse:classify", q.story_id, q.index, question_id=q.question_id
-            )
+        return q
 
-    _, failures = split_failures(judge.map(work, questions))
-    # a question that failed keeps category null, so a rerun retries only it
-    meta = meta or ctx.meta()
-    write_artifact(path, meta, [verse.question_to_record(q) for q in questions])
-    # the summary speaks for the questions it classified, under their fingerprint
-    ctx.write_summary(
-        "verse_classify", judge, len(questions), failures,
-        extra={"classified": len(questions) - len(failures),
-               "fingerprint": meta.get("fingerprint", ctx.fingerprint)},
-    )
-    return 0
+    def write(classified: list) -> dict:
+        # a question that failed keeps category null, so a rerun retries only it
+        write_artifact(path, meta, [verse.question_to_record(q) for q in questions])
+        # the summary speaks for the questions it classified, under their fingerprint
+        return {"classified": len(classified),
+                "fingerprint": meta.get("fingerprint", ctx.fingerprint)}
+
+    return ctx.run_stage("verse_classify", judge, questions, work, lambda q: (
+        "verse:classify", q.story_id, q.index, "", q.question_id), write)
 
 
 def cmd_verse_grade(ctx: RunContext) -> int:
@@ -365,39 +363,24 @@ def cmd_verse_grade(ctx: RunContext) -> int:
     questions = ctx.in_manifest(questions, by_question=True)
     options = ctx.options()
     judge = ctx.judge()
+    jobs = [(cands, q) for cands in candidate_sets for q in questions
+            if (q.story_id, q.index) in cands.translations]
 
-    jobs: list[tuple[CandidateSet, verse.VerseQuestion]] = []
-    for cands in candidate_sets:
-        for q in questions:
-            if (q.story_id, q.index) in cands.translations:
-                jobs.append((cands, q))
-
-    def work(item: tuple[CandidateSet, verse.VerseQuestion]):
+    def work(item: tuple[CandidateSet, verse.VerseQuestion]) -> verse.VerseGrade:
         cands, q = item
-        pair = corpus.pair(q.story_id, q.index)
-        try:
-            return verse.grade_question(
-                q, pair, cands.translations[(q.story_id, q.index)], options, judge,
-                system_id=cands.system_id,
-                summary=corpus.story(q.story_id).summary,
-            )
-        except EvalError as exc:
-            return ItemFailure.of(
-                exc, "verse:grade", q.story_id, q.index, cands.system_id, q.question_id
-            )
+        return verse.grade_question(
+            q, corpus.pair(q.story_id, q.index), cands.translations[(q.story_id, q.index)],
+            options, judge, system_id=cands.system_id, summary=corpus.story(q.story_id).summary)
 
-    grades, failures = split_failures(judge.map(work, jobs))
-    grades.sort(key=lambda g: (g.system_id, g.question_id))
-    options_fp = options.fingerprint()
-    write_artifact(
-        ctx.out_dir / "grades.jsonl",
-        ctx.meta(options),
-        [verse.grade_to_record(g, options_fp, ctx.args.model) for g in grades],
-    )
-    ctx.write_summary(
-        "verse_grade", judge, len(jobs), failures, extra={"grades": len(grades)}
-    )
-    return 0
+    def write(grades: list[verse.VerseGrade]) -> dict:
+        grades.sort(key=lambda g: (g.system_id, g.question_id))
+        options_fp = options.fingerprint()
+        write_artifact(ctx.out_dir / "grades.jsonl", ctx.meta(options),
+                       [verse.grade_to_record(g, options_fp, ctx.args.model) for g in grades])
+        return {"grades": len(grades)}
+
+    return ctx.run_stage("verse_grade", judge, jobs, work, lambda j: (
+        "verse:grade", j[1].story_id, j[1].index, j[0].system_id, j[1].question_id), write)
 
 
 def _vectors_by_channel(

@@ -291,12 +291,6 @@ class ItemFailure:
         return cls(system_id, story_id, index, stage, type(exc).__name__, message)
 
 
-def split_failures(outcomes: Sequence) -> tuple[list, list[ItemFailure]]:
-    """A stage's outcomes as (successes, failures), each in input order."""
-    failures = [o for o in outcomes if isinstance(o, ItemFailure)]
-    return [o for o in outcomes if not isinstance(o, ItemFailure)], failures
-
-
 def score_item(
     corpus: Corpus,
     candidates: CandidateSet,

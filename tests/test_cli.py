@@ -130,6 +130,26 @@ def test_ruler_run_and_cache_resume(tmp_path):
     assert (run_dir / "scorecards.jsonl").read_bytes() == first_bytes
 
 
+def test_honorifics_audit_lists_violations_in_candidates_order(tmp_path):
+    """The audit reads the scorecards as --candidates gives them, beta's first,
+    not in the sorted order of scorecards.jsonl."""
+    script = tmp_path / "fours.json"
+    script.write_text(json.dumps({"rules": [{"contains": "criterion: Honorifics",
+                                             "response": "Score: 4"}], "default": "Score: 3"}))
+    flags = common_flags(tmp_path)
+    flags[flags.index("--script") + 1] = str(script)
+    at = flags.index("--candidates")
+    flags[at + 1:at + 3] = [str(FIXTURES / "candidates_beta.jsonl"),
+                            str(FIXTURES / "candidates_alpha.jsonl")]
+    assert main(["ruler"] + flags) == 0
+    audit = json.loads((tmp_path / "out" / "run1" / "honorifics_audit.json").read_text())
+    narrative = [("st-arbor", 1), ("st-arbor", 3), ("st-arbor", 4), ("st-brook", 0),
+                 ("st-brook", 2), ("st-brook", 4)]
+    violations = [(v["system_id"], v["story_id"], v["index"], v["score"]) for v in audit["violations"]]
+    assert violations == [(system, story, index, 4)
+                          for system in ("beta", "alpha") for story, index in narrative]
+
+
 def test_verse_pipeline_and_report(tmp_path):
     flags = common_flags(tmp_path)
     run_dir = tmp_path / "out" / "run1"
@@ -547,6 +567,43 @@ def test_mock_backend_without_script_is_an_eval_error(tmp_path, capsys):
     assert _error_payload(capsys) == {
         "error": "EvalError", "message": "--script is required for the mock backend"
     }
+
+
+@pytest.mark.parametrize("argv, payload", [
+    (["translate"], {"error": "InsufficientBank", "message":
+                     "--shots 5: --bank-stories has 0 paragraphs"}),
+    (["translate", "--bank-stories", "st-arbor", "st-brook", "--shots", "11"], {
+        "error": "InsufficientBank", "message": "--shots 11: --bank-stories has 10 paragraphs"}),
+    (["translate", "--bank-stories", "st-brook", "nosuch"], {"error": "UnknownItem", "message":
+                     "--bank-stories: unknown story_id 'nosuch'"}),
+    (["ruler", "--k-shot", "5"], {"error": "InsufficientShots", "message":
+                     "--k-shot 5: --shots-bank holds "
+                     "{'honorifics': 0, 'lexical': 0, 'syntax': 0, 'content': 0}"}),
+])
+def test_flags_that_fail_every_item_end_the_stage_first(tmp_path, capsys, argv, payload):
+    """No item runs and no artifact is written; an earlier one stays as it was."""
+    run_dir = tmp_path / "out" / "run1"
+    run_dir.mkdir(parents=True)
+    earlier = {run_dir / "candidates_mock-judge.jsonl": "earlier candidates\n",
+               run_dir / "scorecards.jsonl": "earlier scorecards\n"}
+    for path, text in earlier.items():
+        path.write_text(text)
+    assert main(argv + common_flags(tmp_path)) == 1
+    assert _error_payload(capsys) == payload
+    assert {p: p.read_text() for p in run_dir.iterdir()} == earlier
+    assert not (tmp_path / "out" / "judge_cache").exists()
+
+
+def test_a_bank_that_cannot_serve_one_story_fails_its_items_only(tmp_path):
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps({"rules": [], "default": "translated"}))
+    flags = common_flags(tmp_path)
+    flags[flags.index("--script") + 1] = str(script)
+    assert main(["translate", "--bank-stories", "st-brook", "--no-dialogue-mix"] + flags) == 0
+    summary = json.loads((tmp_path / "out" / "run1" / "translate_summary.json").read_text())
+    assert (summary["items_total"], summary["items_failed"]) == (10, 5)
+    assert {(f["story_id"], f["error"]) for f in summary["failures"]} == {
+        ("st-brook", "InsufficientBank")}
 
 
 @pytest.mark.parametrize("endpoint", [None, "", "judge.example/v1", "ftp://judge.example/v1",

@@ -198,3 +198,90 @@ def test_pipeline_artifacts_on_the_fixtures(tmp_path, monkeypatch):
                  ["verse", "grade"], ["report", "--radar-per-story"]):
         assert main(argv + flags) == 0, argv
     assert _run_digest(Path("out", "golden")) == PIPELINE_FIXTURES
+
+
+# on top of the fixture script, which has no default: one item of each judge stage fails
+FAILING_RULES = [
+    {"contains": "Translate the source passage", "regex": "### Source passage\n(?!\"Mind the gate)",
+     "response": "translated"},
+    {"contains": ["criterion: Honorifics", "quiet orchard ledger", "beta-take"],
+     "response": "Score: 9"},
+    {"contains": ["verification questions", "Mind the gate"], "response": "No questions here."},
+    {"contains": ["verification questions", "quiet orchard ledger"],
+     "response": "1. Does the historical texture of the quiet orchard ledger survive?"},
+    {"contains": ["Assign the verification question", "quiet orchard ledger"],
+     "response": "Ledgers"},
+    {"contains": ["Judge whether the candidate translation satisfies", "alpha-take",
+                  "quiet orchard ledger"], "response": "Score: 0"},
+]
+
+
+def _failure(stage, error, story_id, index, system_id, message):
+    return {"stage": stage, "error": error, "story_id": story_id, "index": index,
+            "system_id": system_id, "message": message}
+
+
+STAGE_FAILURES = {
+    "translate": [_failure("translate", "MockScriptMiss", "st-arbor", 0, "mock-judge",
+                           "no mock rule matches prompt (hash 4a47a5d27606198e...)")],
+    "ruler": [_failure("ruler:honorifics", "OutOfRange", "st-arbor", 1, "beta",
+                       "score 9 outside allowed range 1..5")],
+    "verse_gen": [_failure("verse:gen", "NoQuestionsParsed", "st-arbor", 0, "",
+                           "no numbered list found in: 'No questions here.'")],
+    "verse_classify": [_failure(
+        "verse:classify", "UnmappableCategory", "st-arbor", 1, "",
+        "st-arbor:1:q01: question st-arbor:1:q01: 'Ledgers' then 'Ledgers'")],
+    "verse_grade": [_failure("verse:grade", "OutOfRange", "st-arbor", 1, "alpha",
+                             "st-arbor:1:q01: score 0 outside allowed range 1..3")],
+}
+# _run_digest of that run directory after the stages below; taken from the code as it
+# stood before the five judge stages shared one runner
+FAILING_PIPELINE = (10, "79d91bf3dfce47e9681444f5082af56e6151bcd59e240a77b16696463f396093")
+
+
+def _artifact_records(path: Path) -> list[dict]:
+    return [r for r in map(json.loads, path.read_text(encoding="utf-8").splitlines())
+            if "_meta" not in r and "_provenance" not in r]
+
+
+def test_failure_records_of_every_judge_stage(tmp_path, monkeypatch):
+    """Each stage records its one failed item, in its summary and by its absence
+    from the artifact, and writes every other item."""
+    monkeypatch.chdir(tmp_path)
+    inputs = ["corpus.jsonl", "stories.jsonl", "candidates_alpha.jsonl", "candidates_beta.jsonl"]
+    for name in inputs:
+        shutil.copy(FIXTURES / name, name)
+    script = json.loads((FIXTURES / "mock_script.json").read_text(encoding="utf-8"))
+    Path("fixture.json").write_text(json.dumps(script), encoding="utf-8")
+    script["rules"] = FAILING_RULES + script["rules"]
+    Path("failing.json").write_text(json.dumps(script), encoding="utf-8")
+    flags = ["--corpus", "corpus.jsonl", "--stories", "stories.jsonl", "--candidates",
+             *inputs[2:], "--script", "failing.json", "--run-id", "failing"]
+    run_dir = Path("out", "failing")
+    failures = {}
+    for stage, argv in (("translate", STAGES[0]), ("ruler", ["ruler"]),
+                        ("verse_gen", ["verse", "gen"]), ("verse_classify", ["verse", "classify"])):
+        assert main(argv + flags) == 0, argv
+        failures[stage] = json.loads((run_dir / f"{stage}_summary.json").read_text())["failures"]
+    questions = _artifact_records(run_dir / "questions.jsonl")
+    assert [q["question_id"] for q in questions if q["category"] is None] == ["st-arbor:1:q01"]
+    # the fixture script classifies the one question left, so that grade can run
+    fixture_flags = [*flags[:-3], "fixture.json", *flags[-2:]]
+    assert main(["verse", "classify"] + fixture_flags) == 0
+    assert main(["verse", "grade"] + flags) == 0
+    summary = json.loads((run_dir / "verse_grade_summary.json").read_text())
+    failures["verse_grade"] = summary["failures"]
+    assert failures == STAGE_FAILURES
+
+    candidates = _artifact_records(run_dir / "candidates_mock-judge.jsonl")
+    assert [(c["story_id"], c["index"]) for c in candidates] == [
+        (story, index) for story in ("st-arbor", "st-brook") for index in range(5)][1:]
+    cards = {(c["system_id"], c["story_id"], c["index"])
+             for c in _artifact_records(run_dir / "scorecards.jsonl")}
+    assert len(cards) == 19 and ("beta", "st-arbor", 1) not in cards
+    assert len(questions) == 73 and not [q for q in questions if q["story_id"] == "st-arbor"
+                                         and q["index"] == 0]
+    grades = {(g["system_id"], g["question_id"])
+              for g in _artifact_records(run_dir / "grades.jsonl")}
+    assert len(grades) == 145 and ("alpha", "st-arbor:1:q01") not in grades
+    assert _run_digest(run_dir) == FAILING_PIPELINE

@@ -42,8 +42,8 @@ from rulerverse.judge import (
     cache_key,
     prompt_hash,
 )
-from rulerverse.ruler import (CRITERIA, PromptOptions, build_ruler_prompt, bundled_rubric, score_item,
-                             split_failures)
+from rulerverse.ruler import (CRITERIA, PromptOptions, RubricScorecard, build_ruler_prompt,
+                             bundled_rubric, score_item)
 
 SCRIPT = {
     "rules": [
@@ -983,12 +983,12 @@ def test_live_runner_sends_only_misses_to_workers(tmp_path, fixture_corpus):
         filler.complete(prompt(pairs[5], criterion))
 
     judge, reference = _ScriptedLive(_live_config(tmp_path)), make_judge(tmp_path / "ref")
-    scorecards, failures = split_failures(judge.map(
-        lambda pair: score_item(fixture_corpus, cands, pair, rubric, options, judge), pairs))
+    scorecards = judge.map(
+        lambda pair: score_item(fixture_corpus, cands, pair, rubric, options, judge), pairs)
     expected = [score_item(fixture_corpus, cands, pair, rubric, options, reference) for pair in pairs]
 
+    assert all(isinstance(c, RubricScorecard) for c in scorecards)
     assert [c.scores for c in scorecards] == [c.scores for c in expected]
-    assert not failures
     # every item runs once, on the pool: each prompt is asked exactly once
     assert len(judge.served) == 4 * 10
     assert judge.stats == {"backend_calls": 18, "cache_hits": 4 * 5 + 2}

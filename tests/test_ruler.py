@@ -17,6 +17,7 @@ from rulerverse.errors import (
 from rulerverse.ruler import (
     CRITERIA,
     Criterion,
+    ItemFailure,
     PromptOptions,
     RubricScorecard,
     ScoredExample,
@@ -29,7 +30,6 @@ from rulerverse.ruler import (
     score_item,
     scorecard_from_record,
     scorecard_to_record,
-    split_failures,
 )
 
 
@@ -263,14 +263,13 @@ def test_parse_likert_unparsable():
 def test_score_candidate_all_fives(tmp_path, fixture_corpus):
     judge = make_judge(tmp_path, script={"rules": [], "default": "Score: 5"})
     cands = load_candidates(FIXTURES / "candidates_alpha.jsonl", fixture_corpus)
-    scorecards, failures = split_failures([
+    scorecards = [
         score_item(fixture_corpus, cands, fixture_corpus.pair("st-arbor", i), bundled_rubric(),
                    PromptOptions(), judge)
         for i in (0, 1)
-    ])
-    assert len(scorecards) == 2
-    assert not failures
+    ]
     for card in scorecards:
+        assert isinstance(card, RubricScorecard)
         assert set(card.scores.values()) == {5}
 
 
@@ -286,14 +285,13 @@ def test_score_candidate_failure_isolation(tmp_path, fixture_corpus):
     }
     judge = make_judge(tmp_path, script=script)
     cands = load_candidates(FIXTURES / "candidates_alpha.jsonl", fixture_corpus)
-    scorecards, failures = split_failures([
+    outcomes = [
         score_item(fixture_corpus, cands, fixture_corpus.pair("st-arbor", i), bundled_rubric(),
                    PromptOptions(), judge)
         for i in (0, 1, 2)
-    ])
-    assert len(scorecards) == 2
-    assert len(failures) == 1
-    failure = failures[0]
+    ]
+    assert [type(o) for o in outcomes] == [RubricScorecard, ItemFailure, RubricScorecard]
+    failure = outcomes[1]
     assert failure.index == 1
     assert failure.error == "OutOfRange"
     assert failure.stage == "ruler:honorifics"
