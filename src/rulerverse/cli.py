@@ -262,11 +262,16 @@ def cmd_translate(ctx: RunContext) -> int:
         require_dialogue_mix=not ctx.args.no_dialogue_mix,
     )
     try:  # a bank that no story can draw on would fail every item
-        offered = sum(len(corpus.story(sid).paragraphs) for sid in spec.bank_story_ids)
+        bank = [p for sid in spec.bank_story_ids for p in corpus.story(sid).paragraphs]
     except UnknownItem as exc:
         raise UnknownItem(f"--bank-stories: {exc}") from None
-    if offered < spec.n_shots:
-        raise InsufficientBank(f"--shots {spec.n_shots}: --bank-stories has {offered} paragraphs")
+    if len(bank) < spec.n_shots:
+        raise InsufficientBank(f"--shots {spec.n_shots}: --bank-stories has {len(bank)} paragraphs")
+    if spec.require_dialogue_mix and spec.n_shots >= 2:
+        for wanted in (True, False):
+            if not any(p.has_dialogue is wanted for p in bank):
+                raise InsufficientBank(f"--bank-stories has no paragraph tagged has_dialogue="
+                                       f"{wanted} for the dialogue mix; see --no-dialogue-mix")
     judge = ctx.judge(backend_temperature=True)
     system_id = ctx.args.system_id or ctx.args.model
 

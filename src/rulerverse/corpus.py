@@ -368,53 +368,40 @@ def save_candidates(cands: CandidateSet, path: Path | str) -> None:
     write_jsonl(path, records)
 
 
-def _annotation(record: dict, corpus: Corpus, where: str) -> tuple[str, str, str, int]:
-    """The record's checked (channel, rater_id, item_id, score)."""
-    rater_id = _identifier(record, "rater_id", where)
-    channel = _require(record, "channel", where)
-    if not isinstance(channel, str) or channel not in CHANNEL_SCALES:
-        raise CorpusFormatError(f"{where}: unknown channel {channel!r}")
-    score = _score(_require(record, "score", where), CHANNEL_SCALES[channel], where)
-    system_id = _identifier(record, "system_id", where)
-    if channel == VERSE_CHANNEL:
-        item_id = f"{_identifier(record, 'question_id', where)}::{system_id}"
-    else:
-        story_id, index = _item_key(record, where)
-        if not corpus.has_pair(story_id, index):
-            raise DanglingAnnotation(
-                f"{where}: annotation for unknown paragraph ({story_id!r}, {index})"
-            )
-        item_id = f"{story_id}::{index}::{system_id}"
-    return channel, rater_id, item_id, score
-
-
 def load_annotations(path: Path | str, corpus: Corpus) -> dict[str, dict[str, dict[str, int]]]:
     """Scores by channel, rater and item id, rejecting dangling, duplicate or
     out-of-range entries.  The item id aligns raters for agreement statistics:
     `question_id::system_id` for VERSE, `story_id::index::system_id` otherwise."""
     scores: dict[str, dict[str, dict[str, int]]] = {}
     for lineno, record in read_jsonl(path):
-        # a good record passes these inline tests; any other goes through
-        # `_annotation`, which raises the error that names its line
+        # a field that fails its cheap inline test goes to its checker, which raises
         get = record.get
         rater_id, channel, score, system_id = (
             get("rater_id"), get("channel"), get("score"), get("system_id"))
+        if not (type(rater_id) is str and rater_id):
+            rater_id = _identifier(record, "rater_id", f"{path}:{lineno}")
         scale = CHANNEL_SCALES.get(channel) if type(channel) is str else None
-        item_id = None
-        if (type(rater_id) is str and rater_id and type(system_id) is str and system_id
-                and scale is not None and type(score) is int
-                and scale.min <= score <= scale.max):
-            if channel == VERSE_CHANNEL:
-                question_id = get("question_id")
-                if type(question_id) is str and question_id:
-                    item_id = f"{question_id}::{system_id}"
-            else:
-                story_id, index = get("story_id"), get("index")
-                if (type(story_id) is str and story_id and type(index) is int and index >= 0
-                        and corpus.has_pair(story_id, index)):
-                    item_id = f"{story_id}::{index}::{system_id}"
-        if item_id is None:
-            channel, rater_id, item_id, score = _annotation(record, corpus, f"{path}:{lineno}")
+        if scale is None:
+            channel = _require(record, "channel", f"{path}:{lineno}")
+            raise CorpusFormatError(f"{path}:{lineno}: unknown channel {channel!r}")
+        if not (type(score) is int and scale.min <= score <= scale.max):
+            where = f"{path}:{lineno}"
+            score = _score(_require(record, "score", where), scale, where)
+        if not (type(system_id) is str and system_id):
+            system_id = _identifier(record, "system_id", f"{path}:{lineno}")
+        if channel == VERSE_CHANNEL:
+            question_id = get("question_id")
+            if not (type(question_id) is str and question_id):
+                question_id = _identifier(record, "question_id", f"{path}:{lineno}")
+            item_id = f"{question_id}::{system_id}"
+        else:
+            story_id, index = get("story_id"), get("index")
+            if not (type(story_id) is str and story_id and type(index) is int and index >= 0):
+                story_id, index = _item_key(record, f"{path}:{lineno}")
+            if not corpus.has_pair(story_id, index):
+                raise DanglingAnnotation(
+                    f"{path}:{lineno}: annotation for unknown paragraph ({story_id!r}, {index})")
+            item_id = f"{story_id}::{index}::{system_id}"
         rated = scores.setdefault(channel, {}).setdefault(rater_id, {})
         if item_id in rated:
             raise DuplicateItem(

@@ -6,7 +6,9 @@ formula for rho, and a permutations-built coincidence matrix for alpha.  They
 are slow and only suitable for small inputs.  The item-by-item formulas for
 rho and MSE that the library used before it computed from count tables are
 kept here too, as the reference its results must equal bit for bit.  So is the
-mock judge's linear scan of its rules, the reference for its needle index.
+mock judge's linear scan of its rules, the reference for its needle index, and
+the annotation loader's two check paths (inline tests, then `_annotation` for a
+record that fails one), the reference for its one path.
 """
 from __future__ import annotations
 
@@ -14,6 +16,12 @@ import hashlib
 import math
 import re
 from itertools import permutations
+from pathlib import Path
+
+from rulerverse.corpus import (
+    CHANNEL_SCALES, VERSE_CHANNEL, Corpus, _identifier, _item_key, _require, _score, read_jsonl,
+)
+from rulerverse.errors import CorpusFormatError, DanglingAnnotation, DuplicateItem
 
 
 def tau_b_oracle(x, y):
@@ -200,3 +208,58 @@ def mock_respond_oracle(script, system_text, user_text):
             continue
         return rule["response"]
     return script.get("default")
+
+
+def _annotation(record: dict, corpus: Corpus, where: str) -> tuple[str, str, str, int]:
+    """The record's checked (channel, rater_id, item_id, score)."""
+    rater_id = _identifier(record, "rater_id", where)
+    channel = _require(record, "channel", where)
+    if not isinstance(channel, str) or channel not in CHANNEL_SCALES:
+        raise CorpusFormatError(f"{where}: unknown channel {channel!r}")
+    score = _score(_require(record, "score", where), CHANNEL_SCALES[channel], where)
+    system_id = _identifier(record, "system_id", where)
+    if channel == VERSE_CHANNEL:
+        item_id = f"{_identifier(record, 'question_id', where)}::{system_id}"
+    else:
+        story_id, index = _item_key(record, where)
+        if not corpus.has_pair(story_id, index):
+            raise DanglingAnnotation(
+                f"{where}: annotation for unknown paragraph ({story_id!r}, {index})"
+            )
+        item_id = f"{story_id}::{index}::{system_id}"
+    return channel, rater_id, item_id, score
+
+
+def load_annotations_oracle(path: Path | str, corpus: Corpus) -> dict[str, dict[str, dict[str, int]]]:
+    """Scores by channel, rater and item id, rejecting dangling, duplicate or
+    out-of-range entries.  The item id aligns raters for agreement statistics:
+    `question_id::system_id` for VERSE, `story_id::index::system_id` otherwise."""
+    scores: dict[str, dict[str, dict[str, int]]] = {}
+    for lineno, record in read_jsonl(path):
+        # a good record passes these inline tests; any other goes through
+        # `_annotation`, which raises the error that names its line
+        get = record.get
+        rater_id, channel, score, system_id = (
+            get("rater_id"), get("channel"), get("score"), get("system_id"))
+        scale = CHANNEL_SCALES.get(channel) if type(channel) is str else None
+        item_id = None
+        if (type(rater_id) is str and rater_id and type(system_id) is str and system_id
+                and scale is not None and type(score) is int
+                and scale.min <= score <= scale.max):
+            if channel == VERSE_CHANNEL:
+                question_id = get("question_id")
+                if type(question_id) is str and question_id:
+                    item_id = f"{question_id}::{system_id}"
+            else:
+                story_id, index = get("story_id"), get("index")
+                if (type(story_id) is str and story_id and type(index) is int and index >= 0
+                        and corpus.has_pair(story_id, index)):
+                    item_id = f"{story_id}::{index}::{system_id}"
+        if item_id is None:
+            channel, rater_id, item_id, score = _annotation(record, corpus, f"{path}:{lineno}")
+        rated = scores.setdefault(channel, {}).setdefault(rater_id, {})
+        if item_id in rated:
+            raise DuplicateItem(
+                f"{path}:{lineno}: duplicate annotation for {(rater_id, channel, item_id)}")
+        rated[item_id] = score
+    return scores

@@ -52,11 +52,13 @@ def read_artifact(path: Path):
 
 
 def test_validate_reports_counts(tmp_path, capsys):
-    assert main(["validate"] + common_flags(tmp_path)) == 0
+    flags = common_flags(tmp_path) + ["--annotations", str(FIXTURES / "annotations.jsonl")]
+    assert main(["validate"] + flags) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["stories"] == 2
     assert out["paragraphs"] == 10
     assert out["candidates"] == {"alpha": 1.0, "beta": 1.0}
+    assert out["annotations"] == 78
 
 
 def test_validate_error_is_machine_readable(tmp_path, capsys):
@@ -553,6 +555,17 @@ def test_argument_that_is_not_utf8_is_a_usage_error(tmp_path, capsys, flag, valu
     assert not (tmp_path / "out").exists()
 
 
+def _narrative_brook(path: Path) -> Path:
+    """The fixture corpus with every st-brook paragraph tagged narrative, at `path`."""
+    lines = (FIXTURES / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
+    records = [json.loads(line) for line in lines]
+    for record in records:
+        if record["story_id"] == "st-brook":
+            record["has_dialogue"] = False
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    return path
+
+
 def _error_payload(capsys) -> dict:
     err = capsys.readouterr().err
     assert "Traceback" not in err
@@ -569,6 +582,24 @@ def test_mock_backend_without_script_is_an_eval_error(tmp_path, capsys):
     }
 
 
+@pytest.mark.parametrize("stage, flag, message", [
+    (["ruler"], "--corpus", "--corpus is required for this subcommand"),
+    (["ruler"], "--candidates", "--candidates is required for this subcommand"),
+    (["verse", "grade"], "--candidates", "--candidates is required for this subcommand"),
+    (["agree"], "--annotations", "--annotations is required for `agree`"),
+])
+def test_a_missing_required_input_is_an_eval_error(tmp_path, capsys, stage, flag, message):
+    """The flag's whole value list goes; `agree` gets no --annotations from common_flags."""
+    flags = common_flags(tmp_path)
+    if flag in flags:
+        at = flags.index(flag)
+        end = next((i for i in range(at + 1, len(flags)) if flags[i].startswith("--")), len(flags))
+        del flags[at:end]
+    assert main(stage + flags) == 1
+    assert _error_payload(capsys) == {"error": "EvalError", "message": message}
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv, payload", [
     (["translate"], {"error": "InsufficientBank", "message":
                      "--shots 5: --bank-stories has 0 paragraphs"}),
@@ -579,16 +610,22 @@ def test_mock_backend_without_script_is_an_eval_error(tmp_path, capsys):
     (["ruler", "--k-shot", "5"], {"error": "InsufficientShots", "message":
                      "--k-shot 5: --shots-bank holds "
                      "{'honorifics': 0, 'lexical': 0, 'syntax': 0, 'content': 0}"}),
+    (["translate", "--corpus", "narrative_brook.jsonl", "--bank-stories", "st-brook", "--shots",
+      "2"], {"error": "InsufficientBank", "message": "--bank-stories has no paragraph tagged "
+             "has_dialogue=True for the dialogue mix; see --no-dialogue-mix"}),
 ])
-def test_flags_that_fail_every_item_end_the_stage_first(tmp_path, capsys, argv, payload):
+def test_flags_that_fail_every_item_end_the_stage_first(tmp_path, capsys, monkeypatch, argv,
+                                                         payload):
     """No item runs and no artifact is written; an earlier one stays as it was."""
+    monkeypatch.chdir(tmp_path)  # a row's --corpus names a file here
+    _narrative_brook(tmp_path / "narrative_brook.jsonl")
     run_dir = tmp_path / "out" / "run1"
     run_dir.mkdir(parents=True)
     earlier = {run_dir / "candidates_mock-judge.jsonl": "earlier candidates\n",
                run_dir / "scorecards.jsonl": "earlier scorecards\n"}
     for path, text in earlier.items():
         path.write_text(text)
-    assert main(argv + common_flags(tmp_path)) == 1
+    assert main(argv[:1] + common_flags(tmp_path) + argv[1:]) == 1
     assert _error_payload(capsys) == payload
     assert {p: p.read_text() for p in run_dir.iterdir()} == earlier
     assert not (tmp_path / "out" / "judge_cache").exists()
@@ -604,6 +641,21 @@ def test_a_bank_that_cannot_serve_one_story_fails_its_items_only(tmp_path):
     assert (summary["items_total"], summary["items_failed"]) == (10, 5)
     assert {(f["story_id"], f["error"]) for f in summary["failures"]} == {
         ("st-brook", "InsufficientBank")}
+
+
+def test_a_bank_without_dialogue_outside_one_story_fails_its_items_only(tmp_path):
+    """st-arbor's items draw on st-brook alone, which holds no dialogue paragraph;
+    st-brook's items draw on st-arbor, which holds both kinds."""
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps({"rules": [], "default": "translated"}))
+    flags = common_flags(tmp_path) + [
+        "--script", str(script), "--corpus", str(_narrative_brook(tmp_path / "corpus.jsonl"))]
+    assert main(["translate", "--bank-stories", "st-arbor", "st-brook", "--shots", "2"]
+                + flags) == 0
+    summary = json.loads((tmp_path / "out" / "run1" / "translate_summary.json").read_text())
+    assert (summary["items_total"], summary["items_failed"]) == (10, 5)
+    assert {(f["story_id"], f["error"], f["message"]) for f in summary["failures"]} == {
+        ("st-arbor", "InsufficientBank", "bank has no paragraph tagged has_dialogue=True")}
 
 
 @pytest.mark.parametrize("endpoint", [None, "", "judge.example/v1", "ftp://judge.example/v1",

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES, write_synthetic_corpus
+from oracles import load_annotations_oracle
 from rulerverse.corpus import (
     Corpus,
     ParagraphPair,
@@ -420,6 +421,61 @@ def test_faulty_annotation_keeps_its_message(tmp_path, fixture_corpus, line, err
     with pytest.raises(error) as exc:
         load_annotations(path, fixture_corpus)
     assert str(exc.value) == message.format(path=path)
+
+
+_DELETE = object()
+_GOOD_ANNOTATIONS = [
+    {"rater_id": rater_id, "system_id": "alpha", **item}
+    for rater_id in ("r1", "r2")
+    for item in ({"channel": "verse", "question_id": "q1", "score": 3},
+                 {"channel": "verse", "question_id": "q2", "score": 1},
+                 {"channel": "syntax", "story_id": "st-arbor", "index": 0, "score": 5},
+                 {"channel": "honorifics", "story_id": "st-brook", "index": 4, "score": 1})]
+# a field deleted or set to a wrong value, another channel, or a dangling index
+_ANNOTATION_FAULTS = [
+    (key, value)
+    for key in ("rater_id", "channel", "score", "system_id", "question_id", "story_id", "index")
+    for value in (_DELETE, None, True, 0, -1, 1.0, 6, "", ["r1"], {"a": 1})
+] + [("channel", "bogus"), ("channel", "verse"), ("channel", "lexical"), ("index", 5), ("index", 77)]
+
+
+def _annotation_text(lines) -> str:
+    """One JSONL line per (good record, fault): the record as it is (fault None), the
+    line before it again ("repeat"), or the record with that field deleted or set."""
+    out: list[str] = []
+    for record, fault in lines:
+        if fault == "repeat" and out:
+            out.append(out[-1])
+            continue
+        if isinstance(fault, tuple):
+            key, value = fault
+            record = {k: v for k, v in record.items() if k != key}
+            if value is not _DELETE:
+                record[key] = value
+        out.append(json.dumps(record))
+    return "".join(line + "\n" for line in out)
+
+
+def _outcome(load, path, corpus):
+    """What `load` returns, or the type and message of what it raises."""
+    try:
+        return load(path, corpus)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=800, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_GOOD_ANNOTATIONS),
+                          st.sampled_from([None, "repeat", *_ANNOTATION_FAULTS])),
+                min_size=1, max_size=4))
+def test_one_check_path_matches_the_two_path_oracle(tmp_path_factory, lines):
+    """The loader gives what the inline tests plus `_annotation` of the two-path loader
+    gave: equal scores, or the same error word for word."""
+    corpus = load_corpus(FIXTURES / "corpus.jsonl")
+    path = tmp_path_factory.getbasetemp() / "two_path_oracle.jsonl"
+    path.write_text(_annotation_text(lines), encoding="utf-8")
+    assert _outcome(load_annotations, path, corpus) == _outcome(
+        load_annotations_oracle, path, corpus)
 
 
 def test_blank_lines_and_crlf_endings_are_accepted(tmp_path, fixture_corpus):

@@ -110,6 +110,24 @@ def test_dialogue_mix_unsatisfiable_errors(tmp_path):
         select_shot_pairs(corpus, spec, exclude_story="other")
 
 
+@pytest.mark.parametrize("first, indices", [(True, [0, 1, 3]), (False, [3, 1, 2])])
+def test_dialogue_mix_swaps_in_the_first_paragraph_of_the_missing_tag(tmp_path, first, indices):
+    """The bank's first three paragraphs share one tag: the first paragraph of the
+    other tag takes the last slot when it is narrative, the first when it is dialogue."""
+    from rulerverse.corpus import load_corpus
+
+    path = tmp_path / "c.jsonl"
+    records = [
+        {"story_id": "bank", "index": i, "source_text": f"s{i}", "references": [f"r{i}"],
+         "has_dialogue": i < 3 if first else i >= 3}
+        for i in range(5)
+    ] + [{"story_id": "other", "index": 0, "source_text": "x", "references": ["y"]}]
+    path.write_text("\n".join(json.dumps(r) for r in records), encoding="utf-8")
+    spec = TranslationPromptSpec(n_shots=3, bank_story_ids=("bank",), require_dialogue_mix=True)
+    shots = select_shot_pairs(load_corpus(path), spec, exclude_story="other")
+    assert [p.index for p in shots] == indices
+
+
 def test_sentence_granularity(tmp_path, fixture_corpus):
     judge = make_judge(tmp_path, script=TRANSLATE_SCRIPT)
     spec = _spec(granularity="sentence", n_shots=0)
