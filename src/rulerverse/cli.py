@@ -28,7 +28,7 @@ from . import corpus as corpus_mod
 from . import metrics, report, ruler, translate, verse
 from .corpus import CHANNEL_SCALES, CandidateSet, Corpus, SampleManifest
 from .errors import (CorpusFormatError, EmptyRun, EvalError, InsufficientBank, InsufficientShots,
-                     MixedFingerprint, UnclassifiedQuestion, UnknownItem)
+                     MixedFingerprint, TooFewItems, UnclassifiedQuestion, UnknownItem)
 from .judge import BACKEND_DEFAULT, BACKENDS, Judge, JudgeConfig
 from .metrics import RatingVector
 from .ruler import ItemFailure, PromptOptions
@@ -148,11 +148,6 @@ class RunContext:
             include_rubric=not args.no_rubric,
             reference_index=args.reference_index,
         )
-
-    def rubric(self) -> ruler.RubricSet:
-        if self.args.rubric:
-            return ruler.load_rubric(self.args.rubric)
-        return ruler.bundled_rubric()
 
     def artifact(self, name: str) -> Path:
         """The path that the `--{name}` flag gives, else the run directory's `{name}.jsonl`."""
@@ -291,7 +286,7 @@ def cmd_ruler(ctx: RunContext) -> int:
     corpus = ctx.load_corpus()
     candidate_sets = ctx.load_candidates(corpus)
     pairs = ctx.in_manifest(list(corpus.pairs()))
-    rubric = ctx.rubric()
+    rubric = ruler.load_rubric(ctx.args.rubric) if ctx.args.rubric else ruler.bundled_rubric()
     options = ctx.options()
     shots = ruler.load_example_bank(ctx.args.shots_bank) if ctx.args.shots_bank else []
     held = {c.value: sum(s.criterion is c for s in shots) for c in ruler.CRITERIA}
@@ -414,7 +409,10 @@ def cmd_agree(ctx: RunContext) -> int:
     level = ctx.args.level
 
     agreement_reports: dict[str, metrics.AgreementReport] = {}
+    writes: list[Callable[[], None]] = []  # every channel is computed before any file is written
     for channel, raters in human.items():
+        if len(raters) < 2:
+            raise TooFewItems(f"channel {channel!r}: need at least 2 raters, got {len(raters)}")
         scale = CHANNEL_SCALES[channel]
         label_set = list(range(scale.min, scale.max + 1))
         # align each rater pair and count its table once; every statistic below reads them
@@ -446,11 +444,12 @@ def cmd_agree(ctx: RunContext) -> int:
             confusions = confusions + versus.per_pair
         for rater_a, rater_b, rep in confusions:
             name = f"confusion_{channel}_{_sanitize(rater_a)}_vs_{_sanitize(rater_b)}.csv"
-            write_csv_with_fingerprint(
-                ctx.out_dir / name, ctx.fingerprint, report.confusion_to_csv(rep)
-            )
-        write_json(ctx.out_dir / f"agreement_{channel}.json", payload)
+            writes.append(functools.partial(write_csv_with_fingerprint, ctx.out_dir / name,
+                                            ctx.fingerprint, report.confusion_to_csv(rep)))
+        writes.append(functools.partial(write_json, ctx.out_dir / f"agreement_{channel}.json", payload))
 
+    for write in writes:
+        write()
     write_csv_with_fingerprint(
         ctx.out_dir / "agreement.csv", ctx.fingerprint, report.agreement_to_csv(agreement_reports)
     )
@@ -480,24 +479,19 @@ def _radar_series(table: report.AggregateTable, axis_min: float) -> list[tuple[s
 
 
 def cmd_report(ctx: RunContext) -> int:
-    scorecards_path = ctx.artifact("scorecards")
-    grades_path = ctx.artifact("grades")
-    questions_path = ctx.artifact("questions")
-
     metas: dict[str, dict] = {}
-    scorecards: list[ruler.RubricScorecard] = []
-    grades: list[verse.VerseGrade] = []
-    questions: list[verse.VerseQuestion] = []
-    if scorecards_path.exists():
-        metas["scorecards"], scorecards = read_artifact(scorecards_path, ruler.scorecard_from_record)
-    if questions_path.exists():
-        metas["questions"], questions = read_artifact(questions_path, verse.question_from_record)
-    if grades_path.exists():
-        metas["grades"], grades = read_artifact(grades_path, verse.grade_from_record)
-
+    read: dict[str, list] = {}
+    for name, parse in (("scorecards", ruler.scorecard_from_record),
+                        ("questions", verse.question_from_record),
+                        ("grades", verse.grade_from_record)):
+        path = ctx.artifact(name)
+        metas[name], read[name] = read_artifact(path, parse) if path.exists() else ({}, [])
+    scorecards, grades = read["scorecards"], read["grades"]
     if not scorecards and not grades:
         raise EmptyRun("no completed scores found; run `ruler` or `verse grade` first")
-    # failed items are excluded from every cell; their counts become footnotes
+    # failed items, a question without a category among them, are excluded from
+    # every cell and share; their counts become footnotes
+    questions = [q for q in read["questions"] if q.category is not None]
     failed = {}
     for stage in ("ruler", "verse_gen", "verse_classify", "verse_grade"):
         summary_path = ctx.out_dir / f"{stage}_summary.json"
@@ -513,7 +507,7 @@ def cmd_report(ctx: RunContext) -> int:
                 rows = list(csv.DictReader(f))
         except UnicodeDecodeError as exc:
             raise CorpusFormatError(f"{ctx.args.baseline}: not UTF-8 ({exc.reason})") from None
-        report.append_baseline_columns(table, rows)
+        report.append_baseline_columns(table, rows, ctx.args.baseline)
     table.notes.update(failed)
 
     write_csv_with_fingerprint(
@@ -594,7 +588,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default="out", help="output root directory")
     parser.add_argument("--run-id", help="default: config fingerprint prefix")
     parser.add_argument("--cache-dir", help="judge cache (default: <out>/judge_cache)")
-    parser.add_argument("--mapping", choices=list(report.MAPPINGS), default="minmax")
+    parser.add_argument("--mapping", choices=list(corpus_mod.MAPPINGS), default="minmax")
 
 
 # common flags that change how a run goes, never what it computes

@@ -1,4 +1,4 @@
-"""Load, validate, sample, and serialize paragraph-aligned story corpora.
+"""Load, validate, sample, and serialize paragraph-aligned story corpora and their score scales.
 
 File formats (all UTF-8, line-delimited JSON):
   paragraphs: {"story_id", "index", "source_text", "references": [...], "has_dialogue"?}
@@ -27,12 +27,49 @@ from .errors import (
     EmptyText,
     MissingReference,
     NonContiguousIndex,
+    OutOfRange,
     SamplingError,
     UnknownItem,
 )
-from .scales import RULER_SCALE, VERSE_SCALE, ScoreScale
 
 log = logging.getLogger(__name__)
+
+MAPPINGS = ("minmax", "ratio")
+
+
+@dataclass(frozen=True)
+class ScoreScale:
+    """Closed integer rating scale."""
+
+    min: int
+    max: int
+
+    def __post_init__(self):
+        if self.max <= self.min:
+            raise ValueError(f"scale max must exceed min, got {self.min}..{self.max}")
+
+    def contains(self, score: int) -> bool:
+        return self.min <= score <= self.max
+
+
+RULER_SCALE = ScoreScale(1, 5)
+VERSE_SCALE = ScoreScale(1, 3)
+
+
+def to_percentage(score: int, scale: ScoreScale, mapping: str = "minmax") -> float:
+    """Map a scale point to a percent.
+
+    "minmax" is the default linear map 100*(s-min)/(max-min) so both rating
+    scales share the 0..100 endpoints; "ratio" is the alternative 100*s/max.
+    """
+    if not scale.contains(score):
+        raise OutOfRange(score, scale.min, scale.max)
+    if mapping == "minmax":
+        return 100.0 * (score - scale.min) / (scale.max - scale.min)
+    if mapping == "ratio":
+        return 100.0 * score / scale.max
+    raise ValueError(f"unknown mapping {mapping!r}, expected one of {MAPPINGS}")
+
 
 VERSE_CHANNEL = "verse"
 # the score scale of each annotation channel: the four RULER criteria, then VERSE

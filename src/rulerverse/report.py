@@ -15,17 +15,11 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
+from .corpus import RULER_SCALE, to_percentage
 from .errors import ChartError, CorpusFormatError, EmptyRun, OutOfRange
 from .metrics import AgreementReport, ClassificationReport
 from .ruler import Criterion, RubricScorecard
-from .scales import MAPPINGS, RULER_SCALE, VERSE_SCALE, ScoreScale, to_percentage
 from .verse import CATEGORIES, VerseGrade, VerseQuestion, aggregate_categories
-
-__all__ = [
-    "ScoreScale", "RULER_SCALE", "VERSE_SCALE", "MAPPINGS", "to_percentage",
-    "Cell", "AggregateTable", "aggregate_table", "table_to_csv", "table_to_dict",
-    "agreement_to_csv", "confusion_to_csv", "radar_svg",
-]
 
 log = logging.getLogger(__name__)
 
@@ -114,8 +108,9 @@ def aggregate_table(
     )
 
 
-def append_baseline_columns(table: AggregateTable, rows: Iterable[Mapping[str, str]]) -> None:
-    """Attach externally computed metric columns (read from CSV) to the table.
+def append_baseline_columns(table: AggregateTable, rows: Iterable[Mapping[str, str]],
+                            where: str = "baseline CSV") -> None:
+    """Attach externally computed metric columns, read from the CSV `where` names, to the table.
 
     Expected row shape: {"system_id": ..., "<metric>": value, ...}.  Values are
     imported verbatim as extra columns; nothing is ever computed in-tool.
@@ -123,7 +118,7 @@ def append_baseline_columns(table: AggregateTable, rows: Iterable[Mapping[str, s
     for row in rows:
         system = row.get("system_id")
         if system is None:
-            raise EmptyRun("baseline CSV needs a system_id column")
+            raise CorpusFormatError(f"{where}: needs a system_id column")
         for column, value in row.items():
             if column == "system_id" or value in (None, ""):
                 continue
@@ -132,9 +127,8 @@ def append_baseline_columns(table: AggregateTable, rows: Iterable[Mapping[str, s
                 if not math.isfinite(number):  # no JSON artifact can hold nan or inf
                     raise ValueError
             except (TypeError, ValueError):  # TypeError: a row with more cells than the header
-                raise CorpusFormatError(
-                    f"baseline column {column!r}, system {system!r}: {value!r} is not a finite number"
-                ) from None
+                raise CorpusFormatError(f"{where}: column {column!r}, system {system!r}: "
+                                        f"{value!r} is not a finite number") from None
             table.extra_columns.setdefault(column, {})[system] = number
 
 

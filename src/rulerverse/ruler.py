@@ -16,8 +16,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import (CandidateSet, Corpus, ParagraphPair, _identifier, _item_key, _require,
-                     _score, read_json, read_jsonl)
+from .corpus import (RULER_SCALE, CandidateSet, Corpus, ParagraphPair, _identifier, _item_key,
+                     _require, _score, read_json, read_jsonl)
 from .errors import (
     CorpusFormatError,
     EmptyCandidate,
@@ -27,7 +27,6 @@ from .errors import (
     Unparsable,
 )
 from .judge import Judge, JudgeRequest
-from .scales import RULER_SCALE
 
 K_SHOT_CHOICES = (0, 5, 10, 15, 20)
 
@@ -87,25 +86,27 @@ def bundled_rubric() -> RubricSet:
 
 
 def _rubric_from_dict(data: dict, where: str) -> RubricSet:
-    raw = data.get("criteria")
-    if not isinstance(raw, dict):
-        raise CorpusFormatError(f"{where}: rubric file needs a 'criteria' object")
-    criteria: dict[Criterion, CriterionRubric] = {}
-    for criterion in CRITERIA:
-        entry = raw.get(criterion.value)
-        if entry is None:
-            continue
-        levels = entry.get("levels", {}) if isinstance(entry, dict) else None
-        if not isinstance(levels, dict):
-            raise CorpusFormatError(f"{where}: {criterion.value} needs a 'levels' object")
-        try:
-            levels = {int(k): str(v) for k, v in levels.items()}
-        except ValueError:
-            raise CorpusFormatError(f"{where}: {criterion.value} levels must be integers") from None
-        criteria[criterion] = CriterionRubric(
-            preamble=str(entry.get("preamble", "")), levels=levels
-        )
-    return RubricSet(criteria=criteria)
+    """The rubric that `data` holds; every refusal, the dataclasses' too, names `where`."""
+    try:
+        raw = data.get("criteria")
+        if not isinstance(raw, dict):
+            raise CorpusFormatError("rubric file needs a 'criteria' object")
+        criteria: dict[Criterion, CriterionRubric] = {}
+        for criterion in CRITERIA:
+            entry = raw.get(criterion.value)
+            if entry is None:
+                continue
+            levels = entry.get("levels", {}) if isinstance(entry, dict) else None
+            if not isinstance(levels, dict):
+                raise CorpusFormatError(f"{criterion.value} needs a 'levels' object")
+            try:
+                levels = {int(k): str(v) for k, v in levels.items()}
+            except ValueError:
+                raise CorpusFormatError(f"{criterion.value} levels must be integers") from None
+            criteria[criterion] = CriterionRubric(str(entry.get("preamble", "")), levels)
+        return RubricSet(criteria=criteria)
+    except CorpusFormatError as exc:
+        raise CorpusFormatError(f"{where}: {exc}") from None
 
 
 @dataclass(frozen=True)

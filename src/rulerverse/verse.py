@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
-from .corpus import ParagraphPair, _identifier, _item_key, _require, _score
+from .corpus import VERSE_SCALE, ParagraphPair, _identifier, _item_key, _require, _score, to_percentage
 from .errors import (
     CorpusFormatError,
     EmptyCandidate,
@@ -23,7 +23,6 @@ from .errors import (
 )
 from .judge import Judge, JudgeRequest
 from .ruler import SYSTEM_TEXT, PromptOptions, judged_sections, parse_score
-from .scales import VERSE_SCALE, to_percentage
 
 log = logging.getLogger(__name__)
 

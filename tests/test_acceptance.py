@@ -19,14 +19,9 @@ import pytest
 from conftest import FIXTURES, write_synthetic_corpus
 from oracles import alpha_coincidence_oracle, rho_oracle, tau_b_oracle
 from rulerverse.cli import main
-from rulerverse.corpus import load_corpus, sample_items
+from rulerverse.corpus import RULER_SCALE, VERSE_SCALE, load_corpus, sample_items, to_percentage
 from rulerverse.metrics import kendall_tau_b, krippendorff_alpha, per_label_prf, spearman_rho
-from rulerverse.report import (
-    RULER_SCALE,
-    VERSE_SCALE,
-    aggregate_table,
-    to_percentage,
-)
+from rulerverse.report import aggregate_table
 from rulerverse.ruler import CRITERIA, Criterion, RubricScorecard
 from rulerverse.verse import CATEGORIES, VerseGrade, VerseQuestion
 

@@ -397,6 +397,32 @@ def test_agree_builds_one_count_table_per_aligned_pair(tmp_path, monkeypatch):
     assert len(counted) == len(aligned)
 
 
+def _fixture_annotations_where(keep, edit=lambda r: r) -> list[dict]:
+    rows = [json.loads(line) for line in
+            (FIXTURES / "annotations.jsonl").read_text(encoding="utf-8").splitlines() if line]
+    return [edit(r) for r in rows if keep(r)]
+
+
+@pytest.mark.parametrize("rows, payload", [
+    pytest.param(_fixture_annotations_where(
+        lambda r: r["channel"] != "verse" or r["rater_id"] == "r1"),
+        {"error": "TooFewItems", "message": "channel 'verse': need at least 2 raters, got 1"},
+        id="verse-rated-by-one"),
+    pytest.param(_fixture_annotations_where(lambda r: True, lambda r: {
+        **r, "question_id": "x" + r["question_id"]} if (r["channel"], r["rater_id"]) == (
+            "verse", "r2") else r),
+        {"error": "NoCommonItems", "message": "raters 'r1' and 'r2' share no items"},
+        id="verse-pair-without-common-items"),
+])
+def test_agree_refusal_writes_no_file(tmp_path, capsys, rows, payload):
+    """The last channel's refusal comes before the first channel's files."""
+    path = tmp_path / "annotations.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    assert main(["agree"] + common_flags(tmp_path) + ["--annotations", str(path)]) == 1
+    assert _error_payload(capsys) == payload
+    assert not (tmp_path / "out").exists()
+
+
 def test_translate_cli_produces_loadable_candidates(tmp_path):
     flags = common_flags(tmp_path, run_id="tr1")
     script = {
@@ -698,6 +724,24 @@ def _rubric_with_level_named_one() -> str:
     return json.dumps(rubric)
 
 
+def _rubric_where(criterion: str, levels) -> str:
+    """The bundled rubric, with `criterion` left out (levels None) or given `levels`."""
+    rubric = json.loads(
+        resources.files("rulerverse").joinpath("data/rubric_en.json").read_text("utf-8")
+    )
+    if levels is None:
+        del rubric["criteria"][criterion]
+    else:
+        rubric["criteria"][criterion]["levels"] = levels
+    return json.dumps(rubric)
+
+
+def _corpus_line_where(field: str, value) -> str:
+    """The fixture corpus's first line, with `field` set to `value`."""
+    first = (FIXTURES / "corpus.jsonl").read_text(encoding="utf-8").splitlines()[0]
+    return json.dumps({**json.loads(first), field: value})
+
+
 _ANNOTATION = {"rater_id": "r1", "channel": "syntax", "story_id": "st-arbor", "index": 0,
                "system_id": "alpha", "score": 3}
 
@@ -715,6 +759,24 @@ def _corpus_lines_with(escape: str) -> str:
     pytest.param(["ruler"], "--script", "[]", id="script-list"),
     pytest.param(["ruler"], "--rubric", "[]", id="rubric-list"),
     pytest.param(["ruler"], "--rubric", _rubric_with_level_named_one(), id="rubric-level-one"),
+    pytest.param(["ruler"], "--rubric", _rubric_where("syntax", None), id="rubric-without-syntax"),
+    pytest.param(["ruler"], "--rubric", _rubric_where("syntax", {"1": "a", "2": "b"}),
+                 id="rubric-levels-one-and-two"),
+    pytest.param(["ruler"], "--rubric", _rubric_where("syntax", ["a"]), id="rubric-levels-a-list"),
+    pytest.param(["ruler"], "--rubric", json.dumps({"criteria": []}), id="rubric-criteria-a-list"),
+    pytest.param(["ruler", "--k-shot", "5"], "--shots-bank",
+                 json.dumps({"story_id": "x", "criterion": "style", "score": 3, "source_text": "s",
+                             "candidate_text": "c"}), id="shot-criterion-unknown"),
+    pytest.param(["ruler"], "--manifest",
+                 json.dumps({"seed": 1, "n_per_story": 1, "q_per_item": 0, "items": [1]}),
+                 id="manifest-items-not-objects"),
+    pytest.param(["validate"], "--corpus", _corpus_line_where("source_text", 5),
+                 id="corpus-source-text-a-number"),
+    pytest.param(["validate"], "--corpus", _corpus_line_where("references", "x"),
+                 id="corpus-references-a-string"),
+    pytest.param(["validate"], "--corpus", _corpus_line_where("has_dialogue", "yes"),
+                 id="corpus-has-dialogue-a-string"),
+    pytest.param(["validate"], "--candidates", "", id="candidates-empty"),
     pytest.param(["ruler"], "--manifest", json.dumps({"seed": 1, "q_per_item": 0, "items": []}),
                  id="manifest-without-n-per-story"),
     pytest.param(["ruler", "--k-shot", "5"], "--shots-bank",
@@ -957,6 +1019,34 @@ def test_undecodable_baseline_names_the_file(tmp_path, capsys):
     err = _error_payload(capsys)
     assert err["error"] == "CorpusFormatError"
     assert f"{baseline}: not UTF-8" in err["message"]
+
+
+def test_baseline_without_system_id_names_the_file(tmp_path, capsys):
+    flags = common_flags(tmp_path)
+    assert main(["ruler"] + flags) == 0
+    baseline = tmp_path / "baseline.csv"
+    baseline.write_text("BLEU\n31.5\n", encoding="utf-8")
+    assert main(["report"] + flags + ["--baseline", str(baseline)]) == 1
+    assert _error_payload(capsys) == {
+        "error": "CorpusFormatError", "message": f"{baseline}: needs a system_id column"}
+    assert not (tmp_path / "out" / "run1" / "aggregate.json").exists()
+
+
+@pytest.mark.parametrize("argv, flag, content, payload", [
+    pytest.param(["validate"], "--candidates", "\n".join(
+        [(FIXTURES / "candidates_alpha.jsonl").read_text(encoding="utf-8").splitlines()[0]] * 2),
+        {"error": "DuplicateItem", "message": "{path}:2: duplicate candidate for ('st-arbor', 0)"},
+        id="candidate-repeated"),
+    pytest.param(["sample", "--n-per-story", "1", "--q-per-item", "1"], "--questions",
+                 json.dumps({"_meta": {}}), {"error": "SamplingError", "message":
+                 "paragraph ('st-arbor', 0) has 0 questions, need 1"}, id="q-per-item-above-bank"),
+])
+def test_refused_input_writes_no_file(tmp_path, capsys, argv, flag, content, payload):
+    path = tmp_path / "input.jsonl"
+    path.write_text(content + "\n", encoding="utf-8")
+    assert main(argv + common_flags(tmp_path) + [flag, str(path)]) == 1
+    assert _error_payload(capsys) == {k: v.format(path=path) for k, v in payload.items()}
+    assert not (tmp_path / "out").exists()
 
 
 def test_torn_stage_summary_is_a_format_error(tmp_path, capsys):

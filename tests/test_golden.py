@@ -285,3 +285,24 @@ def test_failure_records_of_every_judge_stage(tmp_path, monkeypatch):
               for g in _artifact_records(run_dir / "grades.jsonl")}
     assert len(grades) == 145 and ("alpha", "st-arbor:1:q01") not in grades
     assert _run_digest(run_dir) == FAILING_PIPELINE
+
+
+def test_report_leaves_out_a_question_that_classify_failed(tmp_path, monkeypatch):
+    """The question is counted in the verse_classify_failed footnote, and in no share."""
+    monkeypatch.chdir(tmp_path)
+    inputs = ["corpus.jsonl", "stories.jsonl", "candidates_alpha.jsonl", "candidates_beta.jsonl"]
+    for name in inputs:
+        shutil.copy(FIXTURES / name, name)
+    script = json.loads((FIXTURES / "mock_script.json").read_text(encoding="utf-8"))
+    script["rules"] = FAILING_RULES + script["rules"]
+    Path("failing.json").write_text(json.dumps(script), encoding="utf-8")
+    flags = ["--corpus", "corpus.jsonl", "--stories", "stories.jsonl", "--candidates",
+             *inputs[2:], "--script", "failing.json", "--run-id", "failing"]
+    for argv in (["ruler"], ["verse", "gen"], ["verse", "classify"], ["report"]):
+        assert main(argv + flags) == 0, argv
+    run_dir = Path("out", "failing")
+    assert (run_dir / "radar_question_shares.svg").exists()
+    manifest = json.loads((run_dir / "report_manifest.json").read_text(encoding="utf-8"))
+    assert manifest["n_questions"] == 72
+    notes = json.loads((run_dir / "aggregate.json").read_text(encoding="utf-8"))["notes"]
+    assert notes["verse_classify_failed"] == 1

@@ -6,11 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rulerverse.corpus import RULER_SCALE, VERSE_SCALE, ScoreScale, to_percentage
 from rulerverse.errors import ChartError, EmptyRun, OutOfRange
 from rulerverse.report import (
-    RULER_SCALE,
-    VERSE_SCALE,
-    ScoreScale,
     aggregate_table,
     agreement_to_csv,
     append_baseline_columns,
@@ -18,7 +16,6 @@ from rulerverse.report import (
     radar_svg,
     table_to_csv,
     table_to_dict,
-    to_percentage,
 )
 from rulerverse.metrics import AgreementReport, per_label_prf
 from rulerverse.ruler import CRITERIA, RubricScorecard
